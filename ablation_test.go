@@ -79,7 +79,7 @@ func BenchmarkAblationAutoVsStatic(b *testing.B) {
 // recomputation (the Σ RT(P, method) model).
 func BenchmarkAblationIncrementalRouting(b *testing.B) {
 	e, h := benchHybrid(b)
-	r := routing.New(h)
+	r := routing.New(&core.Evaluator{H: h})
 	src := graph.VertexID(20)
 	dists := e.G.ShortestDistances(src, graph.FreeFlowWeight)
 	var dst graph.VertexID = -1

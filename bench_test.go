@@ -127,14 +127,16 @@ func BenchmarkIncrementalExtend(b *testing.B) {
 		start := graph.EdgeID(rnd.Intn(e.G.NumEdges()))
 		p = e.G.RandomWalkPath(start, 12, rnd.Intn)
 	}
+	ev := &core.Evaluator{H: h}
+	opt := core.QueryOptions{Method: core.MethodOD}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := h.StartPath(p[0], 8*3600, core.QueryOptions{Method: core.MethodOD})
+		st, err := ev.Extend(nil, p[0], 8*3600, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, e := range p[1:] {
-			st, err = h.ExtendPath(st, e)
+			st, err = ev.Extend(st, e, 8*3600, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -219,7 +221,7 @@ func BenchmarkCoarsestDecomposition(b *testing.B) {
 // BenchmarkRoutingQuery measures one full stochastic budget query.
 func BenchmarkRoutingQuery(b *testing.B) {
 	e, h := benchHybrid(b)
-	r := routing.New(h)
+	r := routing.New(&core.Evaluator{H: h})
 	src := graph.VertexID(10)
 	dists := e.G.ShortestDistances(src, graph.FreeFlowWeight)
 	var dst graph.VertexID = -1

@@ -244,9 +244,19 @@ func run(ctx context.Context, opt options, logger *log.Logger, hup <-chan os.Sig
 		onReady(ln.Addr(), sys)
 	}
 
-	go epochLoop(ctx, sys, opt.epochInterval, hup, logger)
-
-	return srv.RunListener(ctx, ln, opt.drain)
+	// The loop may be mid-publish (truncating the WAL, writing a
+	// checkpoint) when serving stops, so run waits for it to exit
+	// before its deferred WAL close — and its caller's cleanup — runs.
+	loopCtx, stopLoop := context.WithCancel(ctx)
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		epochLoop(loopCtx, sys, opt.epochInterval, hup, logger)
+	}()
+	err = srv.RunListener(ctx, ln, opt.drain)
+	stopLoop()
+	<-loopDone
+	return err
 }
 
 // runCoordinator is run's coordinator-mode body: no model is loaded —

@@ -32,12 +32,18 @@
 //
 // Beyond the paper, PathState implements the incremental property of
 // Section 4.3 ("path + another edge" reuses the chain evaluation of
-// the path), and ConvMemo builds the incremental sub-path convolution
-// engine on top of it: a prefix-keyed memo of chain states, keyed by
-// the exact departure time, that lets routing searches, batched
-// server queries and repeated distribution queries reuse one
-// another's prefixes with byte-identical results
-// (CostDistributionMemo, MemoStartPath, MemoExtendPath).
+// the path). Evaluator carries the hybrid graph and two optional
+// stores of chain states keyed by the exact departure time — the
+// offline SynopsisStore and the runtime ConvMemo — and its three
+// methods run the whole pipeline through one synopsis → memo →
+// compute probe: Distribution (Algorithm 1, Equation 2 and the
+// Section 4.2 marginal for a path), State (the chain state of a path)
+// and Extend (the Section 4.3 "path + one edge" step). Routing
+// searches, batch-planner nodes, shard segments and repeated
+// distribution queries thereby reuse one another's prefixes with
+// byte-identical results. The evaluation entry points are exactly
+// CostDistribution, Evaluate, EvaluateDense, the Evaluator's three
+// methods and Evaluator.EvaluateSegment.
 //
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,

@@ -131,19 +131,7 @@ type factorRun struct {
 // set), everything else being folded into the accumulated-cost
 // dimension.
 func (h *HybridGraph) Evaluate(de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, error) {
-	out, st, err := h.evaluateMode(nil, de, query, false)
-	st.finalizeMC()
-	return out, st, err
-}
-
-// EvaluateQuantized is Evaluate with the float32 inner-product kernel
-// (multiplyQuant) on every chain step. Structure and merge order are
-// identical to the exact evaluator; per-cell probabilities round
-// through single precision, trading a measured (tested) error bound
-// for halved multiply bandwidth. Memo, synopsis and serialization
-// paths never use it — they require the exact kernel's byte-identity.
-func (h *HybridGraph) EvaluateQuantized(de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, error) {
-	out, st, err := h.evaluateMode(nil, de, query, true)
+	out, st, err := h.evaluateMode(context.Background(), de, query)
 	st.finalizeMC()
 	return out, st, err
 }
@@ -155,7 +143,7 @@ func (st *EvalStats) finalizeMC() {
 	}
 }
 
-func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query graph.Path, quant bool) (*hist.Histogram, EvalStats, error) {
+func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, error) {
 	var st EvalStats
 	if err := de.Validate(query); err != nil {
 		return nil, st, err
@@ -181,7 +169,7 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 		return out, st, nil
 	}
 
-	state, err := h.runChainSteps(ctx, de, nil, 0, &st, nil, quant)
+	state, err := h.runChain(ctx, de, nil, &st)
 	if err != nil {
 		return nil, st, err
 	}
@@ -197,30 +185,22 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 	return out, st, nil
 }
 
-// runChain applies decomposition factors from index `from` onward,
-// starting from `state` (nil to start fresh). It returns the final
-// folded state; intermediate states per factor are reported through
-// onStep when non-nil (used by the incremental routing estimator).
-// A non-nil ctx bounds the chain: its deadline is checked before each
-// factor multiply, so a long evaluation stops burning CPU within one
-// factor of the caller's budget expiring.
-func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, state *chainState, from int, st *EvalStats) (*chainState, error) {
-	return h.runChainSteps(ctx, de, state, from, st, nil, false)
-}
-
-func (h *HybridGraph) runChainSteps(ctx context.Context, de *Decomposition, state *chainState, from int, st *EvalStats, onStep func(i int, s *chainState), quant bool) (*chainState, error) {
-	// When the chain starts fresh and no observer keeps references to
-	// intermediate states, every state this loop creates dies as soon
-	// as the next one exists — recycle their histograms.
-	recycle := state == nil && from == 0 && onStep == nil
-	for i := from; i < len(de.Vars); i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				if recycle && state != nil {
-					hist.PutMulti(state.m)
-				}
-				return nil, err
+// runChain applies every decomposition factor, starting from state
+// (nil to start fresh), and returns the final folded state. ctx bounds
+// the chain: its deadline is checked before each factor multiply, so a
+// long evaluation stops burning CPU within one factor of the caller's
+// budget expiring.
+func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, state *chainState, st *EvalStats) (*chainState, error) {
+	// A fresh chain owns every state it creates, each dead as soon as
+	// the next exists — recycle their histograms. A caller-supplied
+	// start state (a relayed segment state) must stay untouched.
+	recycle := state == nil
+	for i := range de.Vars {
+		if err := ctx.Err(); err != nil {
+			if recycle && state != nil {
+				hist.PutMulti(state.m)
 			}
+			return nil, err
 		}
 		v := de.Vars[i]
 		fm, err := asMulti(v)
@@ -229,12 +209,9 @@ func (h *HybridGraph) runChainSteps(ctx context.Context, de *Decomposition, stat
 		}
 		positions := factorPositions(de, i)
 		prev := state
-		switch {
-		case state == nil:
+		if state == nil {
 			state, err = initialState(fm, positions)
-		case quant:
-			state, err = state.multiplyQuant(fm, positions, st)
-		default:
+		} else {
 			state, err = state.multiply(fm, positions, st)
 		}
 		if err != nil {
@@ -242,9 +219,6 @@ func (h *HybridGraph) runChainSteps(ctx context.Context, de *Decomposition, stat
 		}
 		if recycle && prev != nil {
 			hist.PutMulti(prev.m)
-		}
-		if onStep != nil {
-			onStep(i, state)
 		}
 		keep := overlapWithNext(de, i)
 		folded, err := state.foldTo(keep, h.Params.MaxAccBuckets)
@@ -339,20 +313,6 @@ func initialState(fm *hist.Multi, positions []int) (*chainState, error) {
 // depend on sibling evaluation order, breaking the memo-on/memo-off
 // byte-identity guarantee.)
 func (s *chainState) multiply(fm *hist.Multi, positions []int, st *EvalStats) (*chainState, error) {
-	return s.multiplyKernel(fm, positions, st, false)
-}
-
-// multiplyQuant is multiply with the quantized float32 inner product:
-// each emitted cell's probability is computed in single precision
-// (float32 multiply + divide) and widened back. Everything structural
-// — alignment, runs, merge order, zero-dropping — is identical to the
-// exact kernel, so the only divergence is per-cell rounding; the
-// measured error bound is asserted by TestQuantizedKernelErrorBound.
-func (s *chainState) multiplyQuant(fm *hist.Multi, positions []int, st *EvalStats) (*chainState, error) {
-	return s.multiplyKernel(fm, positions, st, true)
-}
-
-func (s *chainState) multiplyKernel(fm *hist.Multi, positions []int, st *EvalStats, quant bool) (*chainState, error) {
 	overlap := s.open
 	ovIdxF := indexOf(positions, overlap)
 	if len(ovIdxF) != len(overlap) {
@@ -361,9 +321,11 @@ func (s *chainState) multiplyKernel(fm *hist.Multi, positions []int, st *EvalSta
 	for i, fd := range ovIdxF {
 		if fd != i {
 			// Chain evaluation always overlaps on a leading prefix of
-			// the factor (overlaps are path prefixes); keep the
-			// reference kernel for the general case.
-			return s.multiplyRef(fm, positions, st)
+			// the factor (overlaps are path prefixes; the property and
+			// planner fuzz tests assert it for every production
+			// decomposition). The run grouping below would mis-join any
+			// other shape, so refuse it.
+			return nil, fmt.Errorf("core: state open dims %v are not a leading prefix of factor positions %v", overlap, positions)
 		}
 	}
 	if 1+fm.Dims() > hist.MaxDims {
@@ -466,26 +428,14 @@ func (s *chainState) multiplyKernel(fm *hist.Multi, positions []int, st *EvalSta
 		if st != nil {
 			st.CellsTouched += run.end - run.start
 		}
-		if quant {
-			spr32, div32 := float32(spr), float32(run.div)
-			for c := run.start; c < run.end; c++ {
-				v := float64(spr32 * float32(fProbs[c]) / div32)
-				if v == 0 {
-					continue
-				}
-				resKeys = append(resKeys, fs[c].WithDim0From(sk))
-				resProbs = append(resProbs, v)
+		for c := run.start; c < run.end; c++ {
+			v := spr * fProbs[c] / run.div
+			if v == 0 {
+				// The map-based kernel's SetCell dropped exact zeros.
+				continue
 			}
-		} else {
-			for c := run.start; c < run.end; c++ {
-				v := spr * fProbs[c] / run.div
-				if v == 0 {
-					// The map-based kernel's SetCell dropped exact zeros.
-					continue
-				}
-				resKeys = append(resKeys, fs[c].WithDim0From(sk))
-				resProbs = append(resProbs, v)
-			}
+			resKeys = append(resKeys, fs[c].WithDim0From(sk))
+			resProbs = append(resProbs, v)
 		}
 	}
 	sc.keys, sc.probs = resKeys, resProbs
@@ -539,104 +489,6 @@ func findRun(fKeys []hist.PackedKey, runs []factorRun, skShift hist.PackedKey, n
 		return runs[lo], true
 	}
 	return factorRun{}, false
-}
-
-// multiplyRef is the pre-columnar reference kernel: group maps and
-// per-cell dispatch over the same float sequence. It survives as the
-// fallback for non-prefix overlaps (unreachable from chain evaluation)
-// and as the differential oracle the kernel tests compare against.
-func (s *chainState) multiplyRef(fm *hist.Multi, positions []int, st *EvalStats) (*chainState, error) {
-	overlap := s.open
-	ovIdxF := indexOf(positions, overlap)
-	if len(ovIdxF) != len(overlap) {
-		return nil, fmt.Errorf("core: state open dims %v not contained in factor positions %v", overlap, positions)
-	}
-
-	sm := s.m
-	fmAligned := fm
-	var err error
-	for i := range overlap {
-		sd := 1 + i // state dim (open dims are ordered and contiguous)
-		fd := ovIdxF[i]
-		union := hist.UnionBounds(sm.Bounds(sd), fmAligned.Bounds(fd))
-		sm, err = sm.RemapDim(sd, union)
-		if err != nil {
-			return nil, err
-		}
-		fmAligned, err = fmAligned.RemapDim(fd, union)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var marg *hist.Multi
-	if len(overlap) > 0 {
-		marg, err = fmAligned.MarginalOnto(ovIdxF)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Group factor cells by overlap index tuple (a single group when
-	// the overlap is empty).
-	type fcell struct {
-		key hist.CellKey
-		pr  float64
-	}
-	groups := make(map[hist.CellKey][]fcell)
-	fmAligned.ForEach(func(k hist.CellKey, pr float64) {
-		var gk hist.CellKey
-		for i, fd := range ovIdxF {
-			gk[i] = k[fd]
-		}
-		groups[gk] = append(groups[gk], fcell{key: k, pr: pr})
-	})
-
-	// Result dims: acc + all factor dims (in factor order).
-	bounds := make([][]float64, 1+fmAligned.Dims())
-	bounds[0] = sm.Bounds(0)
-	for d := 0; d < fmAligned.Dims(); d++ {
-		bounds[1+d] = fmAligned.Bounds(d)
-	}
-	res, err := hist.NewMulti(bounds)
-	if err != nil {
-		return nil, err
-	}
-	idxBuf := make([]int, 1+fmAligned.Dims())
-	mi := make([]int, len(overlap))
-	sm.ForEach(func(sk hist.CellKey, spr float64) {
-		var gk hist.CellKey
-		for i := range overlap {
-			gk[i] = sk[1+i]
-		}
-		cells := groups[gk]
-		if len(cells) == 0 {
-			return
-		}
-		div := 1.0
-		if marg != nil {
-			for i := range overlap {
-				mi[i] = int(gk[i])
-			}
-			div = marg.Cell(mi)
-			if div <= 0 {
-				return
-			}
-		}
-		for _, fc := range cells {
-			idxBuf[0] = int(sk[0])
-			for d := 0; d < fmAligned.Dims(); d++ {
-				idxBuf[1+d] = int(fc.key[d])
-			}
-			if st != nil {
-				st.CellsTouched++
-			}
-			res.SetCell(idxBuf, res.Cell(idxBuf)+spr*fc.pr/div)
-		}
-	})
-	if err := res.Normalize(); err != nil {
-		return nil, err
-	}
-	return &chainState{m: res, open: positions}, nil
 }
 
 // foldTo folds all open dims except keep into the accumulator and

@@ -37,13 +37,14 @@ type QueryOptions struct {
 	RankCap int
 	// Seed drives MethodRD's random decomposition choice.
 	Seed int64
-	// Quantized evaluates the chain with the float32 fast-path kernel
-	// (EvaluateQuantized): run masses and per-cell divisions happen in
-	// float32, trading ~1e-6 relative error per multiply for less
-	// division latency. Exact (default) answers stay byte-identical to
-	// the reference kernel; quantized answers carry a measured error
-	// bound (see TestQuantizedKernelErrorBound).
-	Quantized bool
+}
+
+// withDefaults resolves the zero Method to the paper's OD.
+func (o QueryOptions) withDefaults() QueryOptions {
+	if o.Method == "" {
+		o.Method = MethodOD
+	}
+	return o
 }
 
 // Timing is the Figure 17 breakdown of one query: OI (identify the
@@ -70,21 +71,17 @@ type QueryResult struct {
 
 // CostDistribution estimates the travel cost distribution of query
 // path p departing at absolute time t (Section 4). The zero options
-// value runs the paper's OD method.
+// value runs the paper's OD method. It is the one-shot evaluation with
+// no reuse store; Evaluator.Distribution adds the synopsis and memo
+// and a deadline.
 func (h *HybridGraph) CostDistribution(p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	return h.CostDistributionCtx(nil, p, t, opt)
+	return h.costDistribution(context.Background(), p, t, opt.withDefaults())
 }
 
-// CostDistributionCtx is CostDistribution bounded by ctx: the factor
-// chain checks the deadline before each multiply and returns ctx's
-// error once it expires. ctx travels as a parameter, never inside
-// QueryOptions or any cached state — cached PathStates outlive the
-// request that built them, so a stored context would poison later
-// queries. nil ctx means unbounded.
-func (h *HybridGraph) CostDistributionCtx(ctx context.Context, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	if opt.Method == "" {
-		opt.Method = MethodOD
-	}
+// costDistribution decomposes p (Algorithm 1) and runs the recycling
+// one-shot chain, checking ctx before each factor multiply. opt.Method
+// must already be resolved.
+func (h *HybridGraph) costDistribution(ctx context.Context, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
 	t0 := time.Now()
 	ca, err := h.BuildCandidateArray(p, t)
 	if err != nil {
@@ -107,7 +104,7 @@ func (h *HybridGraph) CostDistributionCtx(ctx context.Context, p graph.Path, t f
 	t1 := time.Now()
 	oi := t1.Sub(t0)
 
-	dist, stats, err := h.evaluateMode(ctx, de, p, opt.Quantized)
+	dist, stats, err := h.evaluateMode(ctx, de, p)
 	if err != nil {
 		return nil, err
 	}

@@ -65,11 +65,9 @@ func (s *PathState) Path() graph.Path { return s.path }
 // Depart returns the departure time the state was built for.
 func (s *PathState) Depart() float64 { return s.t }
 
-// StartPath begins incremental evaluation with a single-edge path.
-func (h *HybridGraph) StartPath(e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
-	if opt.Method == "" {
-		opt.Method = MethodOD
-	}
+// startPath begins incremental evaluation with a single-edge path.
+// opt.Method must already be resolved (see QueryOptions.withDefaults).
+func (h *HybridGraph) startPath(e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
 	s := &PathState{h: h, path: graph.Path{e}, t: t, opt: opt}
 	if err := s.recompute(nil); err != nil {
 		return nil, err
@@ -77,11 +75,11 @@ func (h *HybridGraph) StartPath(e graph.EdgeID, t float64, opt QueryOptions) (*P
 	return s, nil
 }
 
-// ExtendPath returns a new state for the path extended by edge e,
+// extendPath returns a new state for the path extended by edge e,
 // reusing as much of the previous chain evaluation as the new coarsest
-// decomposition allows. The receiver remains valid (DFS keeps parent
-// states alive across siblings).
-func (h *HybridGraph) ExtendPath(s *PathState, e graph.EdgeID) (*PathState, error) {
+// decomposition allows. s remains valid (DFS keeps parent states alive
+// across siblings).
+func (h *HybridGraph) extendPath(s *PathState, e graph.EdgeID) (*PathState, error) {
 	np := make(graph.Path, len(s.path)+1)
 	copy(np, s.path)
 	np[len(s.path)] = e
@@ -204,5 +202,3 @@ func sameInts(a, b []int) bool {
 	}
 	return true
 }
-
-var _ = hist.DefaultResolution

@@ -16,15 +16,16 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev := &Evaluator{H: h}
 	depart := 8*3600 + 300.0
 	for _, method := range []Method{MethodOD, MethodHP, MethodLB} {
 		opt := QueryOptions{Method: method}
-		st, err := h.StartPath(0, depart, opt)
+		st, err := ev.Extend(nil, 0, depart, opt)
 		if err != nil {
 			t.Fatalf("%s: start: %v", method, err)
 		}
 		for _, e := range []graph.EdgeID{1, 2, 3, 4} {
-			st, err = h.ExtendPath(st, e)
+			st, err = ev.Extend(st, e, depart, opt)
 			if err != nil {
 				t.Fatalf("%s: extend by %d: %v", method, e, err)
 			}
@@ -56,21 +57,22 @@ func TestIncrementalParentRemainsUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev := &Evaluator{H: h}
 	depart := 8*3600 + 300.0
-	st, err := h.StartPath(0, depart, QueryOptions{Method: MethodOD})
+	st, err := ev.Extend(nil, 0, depart, QueryOptions{Method: MethodOD})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = h.ExtendPath(st, 1)
+	st, err = ev.Extend(st, 1, depart, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	meanBefore := st.Dist().Mean()
-	if _, err := h.ExtendPath(st, 2); err != nil {
+	if _, err := ev.Extend(st, 2, depart, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Extend the same parent again (sibling exploration).
-	child2, err := h.ExtendPath(st, 2)
+	child2, err := ev.Extend(st, 2, depart, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +91,15 @@ func TestIncrementalRejectsBadExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := h.StartPath(0, 8*3600, QueryOptions{})
+	ev := &Evaluator{H: h}
+	st, err := ev.Extend(nil, 0, 8*3600, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.ExtendPath(st, 3); err == nil {
+	if _, err := ev.Extend(st, 3, 8*3600, QueryOptions{}); err == nil {
 		t.Fatal("non-adjacent extension accepted")
 	}
-	if _, err := h.StartPath(0, 8*3600, QueryOptions{Method: MethodRD}); err == nil {
+	if _, err := ev.Extend(nil, 0, 8*3600, QueryOptions{Method: MethodRD}); err == nil {
 		t.Fatal("RD should not support incremental evaluation")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"repro/internal/cache"
-	"repro/internal/graph"
 )
 
 // ConvMemo is the incremental sub-path convolution engine: a
@@ -71,77 +70,4 @@ func memoKey(pathKey string, t float64, opt QueryOptions) string {
 // evaluator; RD's random decomposition does not.
 func memoizable(m Method) bool {
 	return m == MethodOD || m == MethodHP || m == MethodLB
-}
-
-// MemoStartPath is StartPath through the memo: a hit returns the
-// stored single-edge state, a miss computes and stores it. A nil memo
-// degrades to plain StartPath.
-func (h *HybridGraph) MemoStartPath(m *ConvMemo, e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
-	if opt.Method == "" {
-		opt.Method = MethodOD
-	}
-	if m == nil || !memoizable(opt.Method) {
-		return h.StartPath(e, t, opt)
-	}
-	key := m.key((graph.Path{e}).Key(), t, opt)
-	if s, ok := m.lru.Get(key); ok {
-		return s, nil
-	}
-	s, err := h.StartPath(e, t, opt)
-	if err != nil {
-		return nil, err
-	}
-	m.lru.Put(key, s)
-	return s, nil
-}
-
-// MemoExtendPath is ExtendPath through the memo: a hit returns the
-// stored state for the extended path — one map lookup instead of a
-// convolution step — and a miss extends s and stores the result. A nil
-// memo degrades to plain ExtendPath.
-func (h *HybridGraph) MemoExtendPath(m *ConvMemo, s *PathState, e graph.EdgeID) (*PathState, error) {
-	if m == nil || !memoizable(s.opt.Method) {
-		return h.ExtendPath(s, e)
-	}
-	np := make(graph.Path, len(s.path)+1)
-	copy(np, s.path)
-	np[len(s.path)] = e
-	key := m.key(np.Key(), s.t, s.opt)
-	if ns, ok := m.lru.Get(key); ok {
-		return ns, nil
-	}
-	ns, err := h.ExtendPath(s, e)
-	if err != nil {
-		return nil, err
-	}
-	m.lru.Put(key, ns)
-	return ns, nil
-}
-
-// MemoPathState evaluates path p departing at t through the memo: it
-// resumes from the longest memoized prefix of p and extends one edge
-// at a time, storing every intermediate prefix state so later queries
-// (longer paths, sibling branches, other batch entries) can resume
-// even deeper.
-//
-// The longest-prefix probe (in PathStateWith) Peeks during the scan
-// and Gets only the committed base, so one logical query counts one
-// hit or miss however deep the scan went; a concurrent eviction
-// between the Peek and the Get costs a stats blip, never a wrong base.
-func (h *HybridGraph) MemoPathState(m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*PathState, error) {
-	return h.PathStateWith(nil, m, p, t, opt)
-}
-
-// CostDistributionMemo is CostDistribution through the memo. Results
-// are byte-identical to the unmemoized call: the chain evaluator
-// applies exactly the operations Evaluate applies, the memoized
-// states it resumes from were produced by those same operations, and
-// the single-factor shortcut below mirrors Evaluate's. Methods
-// without an incremental evaluator (RD) and a nil memo fall through
-// to CostDistribution unchanged.
-//
-// Timing in the result reflects only work this call actually did: a
-// deep prefix hit reports a near-zero JC, which is the point.
-func (h *HybridGraph) CostDistributionMemo(m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	return h.CostDistributionWith(nil, m, p, t, opt)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestMemoMatchesUnmemoizedByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s n=%d: plain: %v", method, n, err)
 					}
-					memod, err := h.CostDistributionMemo(memo, p, depart, opt)
+					memod, err := (&Evaluator{H: h, Memo: memo}).Distribution(context.Background(), p, depart, opt)
 					if err != nil {
 						t.Fatalf("%s n=%d: memo: %v", method, n, err)
 					}
@@ -64,7 +65,7 @@ func TestMemoRDFallsThrough(t *testing.T) {
 	}
 	memo := NewConvMemo(64)
 	p := graph.Path{0, 1, 2}
-	rd, err := h.CostDistributionMemo(memo, p, 8*3600, QueryOptions{Method: MethodRD, Seed: 7})
+	rd, err := (&Evaluator{H: h, Memo: memo}).Distribution(context.Background(), p, 8*3600, QueryOptions{Method: MethodRD, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestMemoExactDepartureKeys(t *testing.T) {
 	p := graph.Path{0, 1}
 	opt := QueryOptions{Method: MethodOD}
 	for _, depart := range []float64{8 * 3600, 8*3600 + 60} {
-		memod, err := h.CostDistributionMemo(memo, p, depart, opt)
+		memod, err := (&Evaluator{H: h, Memo: memo}).Distribution(context.Background(), p, depart, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestMemoConcurrentSharedStates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 1; n <= len(path); n++ {
-				res, err := h.CostDistributionMemo(memo, path[:n], 8*3600, QueryOptions{Method: MethodOD})
+				res, err := (&Evaluator{H: h, Memo: memo}).Distribution(context.Background(), path[:n], 8*3600, QueryOptions{Method: MethodOD})
 				if err != nil {
 					errs <- err
 					return

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -104,11 +107,26 @@ func oracleQueries(g *graph.Graph, seed int64) ([]graph.Path, []float64) {
 	return paths, departs
 }
 
-// PROPERTY: on arbitrary random workloads, the memoized, the
-// synopsis-backed, and the combined evaluation paths all reproduce
-// the naive oracle bit for bit, for every incremental method, every
-// prefix of the query chain, and repeated evaluation (warm states).
+// PROPERTY: on arbitrary random workloads, every evaluation entry
+// point reproduces CostDistribution bit for bit under every store
+// configuration — none, memo, synopsis, both — for every method,
+// every prefix of the query chain, and repeated evaluation (warm
+// states); and CostDistribution itself reproduces the naive oracle.
+// The entry points are Evaluator.Distribution, Evaluator.State, an
+// Evaluator.Extend chain, BatchPlanner.Distributions and a first
+// segment of Evaluator.EvaluateSegment. RD has no incremental
+// evaluator: its Distribution and planned answers bypass the stores,
+// and State, Extend and EvaluateSegment refuse it.
+//
+// A chain state's own marginal (State, Extend, a finalized segment)
+// matches CostDistribution whenever the decomposition has more than
+// one factor; a single factor's answer is the variable's own
+// distribution (Evaluate's "lucky" case), which chain states do not
+// take, so there they are compared against the store-free state.
 func TestOracleDifferentialByteIdentity(t *testing.T) {
+	bg := context.Background()
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
 	f := func(seed int64) bool {
 		g, data, params := randomWorkload(seed)
 		h, err := Build(g, data, params)
@@ -116,10 +134,21 @@ func TestOracleDifferentialByteIdentity(t *testing.T) {
 			return false
 		}
 		paths, departs := oracleQueries(g, seed)
+		fail := func(format string, args ...any) bool {
+			t.Logf("seed %d: "+format, append([]any{seed}, args...)...)
+			return false
+		}
 
-		for _, method := range []Method{MethodOD, MethodHP, MethodLB} {
-			opt := QueryOptions{Method: method}
+		for _, method := range []Method{MethodOD, MethodHP, MethodLB, MethodRD} {
+			opt := QueryOptions{Method: method, Seed: seed}
+			incremental := method != MethodRD
 			// One synopsis over the whole query set, one shared memo.
+			// RD queries bypass whatever store is attached, so they
+			// run against the OD synopsis.
+			synOpt := QueryOptions{Method: method}
+			if !incremental {
+				synOpt.Method = MethodOD
+			}
 			var workload []WorkloadQuery
 			for _, p := range paths {
 				for _, dep := range departs {
@@ -127,35 +156,106 @@ func TestOracleDifferentialByteIdentity(t *testing.T) {
 				}
 			}
 			syn, err := h.BuildSynopsis(workload, SynopsisConfig{
-				MaxEntries: 64, Method: method, MinDepth: 2,
+				MaxEntries: 64, Method: synOpt.Method, MinDepth: 2,
 			})
 			if err != nil {
-				t.Logf("seed %d: synopsis: %v", seed, err)
-				return false
+				return fail("synopsis: %v", err)
 			}
 			memo := NewConvMemo(256)
+			stores := map[string]*Evaluator{
+				"none": {H: h},
+				"memo": {H: h, Memo: memo},
+				"syn":  {H: h, Syn: syn},
+				"both": {H: h, Syn: syn, Memo: memo},
+			}
 			for _, dep := range departs {
-				for _, p := range paths {
-					want, err := naiveDistribution(h, p, dep, opt)
-					if err != nil {
-						t.Logf("seed %d %s %v: naive: %v", seed, method, p, err)
-						return false
+				want := make([]*QueryResult, len(paths))
+				plainState := make([]*hist.Histogram, len(paths))
+				batch := make([]PlanQuery, len(paths))
+				for i, p := range paths {
+					if want[i], err = h.CostDistribution(p, dep, opt); err != nil {
+						return fail("%s %v: CostDistribution: %v", method, p, err)
 					}
-					for pass := 0; pass < 2; pass++ { // cold, then warm
-						for name, got := range map[string]func() (*QueryResult, error){
-							"plain": func() (*QueryResult, error) { return h.CostDistribution(p, dep, opt) },
-							"memo":  func() (*QueryResult, error) { return h.CostDistributionMemo(memo, p, dep, opt) },
-							"syn":   func() (*QueryResult, error) { return h.CostDistributionWith(syn, nil, p, dep, opt) },
-							"both":  func() (*QueryResult, error) { return h.CostDistributionWith(syn, memo, p, dep, opt) },
-						} {
-							res, err := got()
-							if err != nil {
-								t.Logf("seed %d %s %v %s: %v", seed, method, p, name, err)
-								return false
+					batch[i] = PlanQuery{Path: p, Depart: dep, Opt: opt}
+					if !incremental {
+						continue
+					}
+					naive, err := naiveDistribution(h, p, dep, opt)
+					if err != nil {
+						return fail("%s %v: naive: %v", method, p, err)
+					}
+					if !identicalHist(naive, want[i].Dist) {
+						return fail("%s %v: CostDistribution diverged from naive oracle", method, p)
+					}
+					st, err := (&Evaluator{H: h}).State(bg, p, dep, opt)
+					if err != nil {
+						return fail("%s %v: plain State: %v", method, p, err)
+					}
+					plainState[i] = st.Dist()
+				}
+				// stateWant is the answer a chain state's marginal must
+				// reproduce for paths[i].
+				stateWant := func(i int) *hist.Histogram {
+					if len(want[i].Decomp.Vars) > 1 {
+						return want[i].Dist
+					}
+					return plainState[i]
+				}
+				for pass := 0; pass < 2; pass++ { // cold, then warm
+					for name, ev := range stores {
+						// A single edge is one factor (no chain step to
+						// check ctx in) and, warm, a memo hit.
+						for _, p := range []graph.Path{paths[0], paths[len(paths)-1]} {
+							if _, err := ev.Distribution(cancelled, p, dep, opt); !errors.Is(err, context.Canceled) {
+								return fail("%s %v %s: cancelled ctx gave %v, want %v", method, p, name, err, context.Canceled)
 							}
-							if !identicalHist(want, res.Dist) {
-								t.Logf("seed %d %s %v pass %d: %s diverged from naive oracle", seed, method, p, pass, name)
-								return false
+						}
+						planned, _ := NewBatchPlanner(2).Distributions(bg, ev, batch)
+						for i, p := range paths {
+							where := fmt.Sprintf("%s %v pass %d store %s", method, p, pass, name)
+							res, err := ev.Distribution(bg, p, dep, opt)
+							if err != nil {
+								return fail("%s: Distribution: %v", where, err)
+							}
+							if !identicalHist(want[i].Dist, res.Dist) {
+								return fail("%s: Distribution diverged", where)
+							}
+							if planned[i].Err != nil {
+								return fail("%s: planner: %v", where, planned[i].Err)
+							}
+							if !identicalHist(want[i].Dist, planned[i].Res.Dist) {
+								return fail("%s: planner diverged", where)
+							}
+							st, err := ev.State(bg, p, dep, opt)
+							seg, segErr := ev.EvaluateSegment(bg, SegmentInput{
+								Path: p, Depart: dep, UI: TimeInterval{Lo: dep, Hi: dep}, Opt: opt,
+							})
+							ext, extErr := ev.Extend(nil, p[0], dep, opt)
+							for _, e := range p[1:] {
+								if extErr != nil {
+									break
+								}
+								ext, extErr = ev.Extend(ext, e, dep, opt)
+							}
+							if !incremental {
+								if err == nil || segErr == nil || extErr == nil {
+									return fail("%s: RD accepted by State (%v), EvaluateSegment (%v) or Extend (%v)", where, err, segErr, extErr)
+								}
+								continue
+							}
+							if err != nil || segErr != nil || extErr != nil {
+								return fail("%s: State %v, EvaluateSegment %v, Extend %v", where, err, segErr, extErr)
+							}
+							segDist, err := seg.State.Finalize(h.Params.MaxResultBuckets)
+							if err != nil {
+								return fail("%s: Finalize: %v", where, err)
+							}
+							for entry, got := range map[string]*hist.Histogram{
+								"State": st.Dist(), "Extend": ext.Dist(), "EvaluateSegment": segDist,
+							} {
+								if !identicalHist(stateWant(i), got) {
+									return fail("%s: %s diverged", where, entry)
+								}
 							}
 						}
 					}
@@ -201,7 +301,7 @@ func TestOracleByteIdentityAfterSaveLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := h2.CostDistributionWith(syn2, nil, p, dep, opt)
+			got, err := (&Evaluator{H: h2, Syn: syn2}).Distribution(context.Background(), p, dep, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +346,7 @@ func TestOracleConcurrentByteIdentity(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				for i, p := range paths {
-					res, err := h.CostDistributionWith(syn, memo, p, departs[0], opt)
+					res, err := (&Evaluator{H: h, Syn: syn, Memo: memo}).Distribution(context.Background(), p, departs[0], opt)
 					if err != nil {
 						errs <- err
 						return

@@ -107,11 +107,6 @@ type SegmentInput struct {
 	UI     TimeInterval
 	State  *ChainState
 	Opt    QueryOptions
-	// Ctx, when non-nil, bounds the segment's evaluation: the factor
-	// chain and edge derivations check its deadline as they go. It is
-	// request-scoped and ephemeral — never serialized with the state,
-	// never stored in anything that outlives the call.
-	Ctx context.Context
 }
 
 // SegmentResult is one segment's contribution: the accumulator-only
@@ -127,8 +122,8 @@ type SegmentResult struct {
 }
 
 // EvaluateSegment evaluates one segment of a partitioned query. A
-// first segment (nil state) runs the ordinary synopsis/memo-backed
-// path evaluation and hands out its final folded state; a continuation
+// first segment (nil state) runs the ordinary store-backed
+// Evaluator.State and hands out its final folded state; a continuation
 // seeds the candidate array with the relayed UI, decomposes the
 // segment locally, and multiplies its factors onto the relayed state.
 // Continuations never touch the synopsis or memo: their keys assume
@@ -138,17 +133,18 @@ type SegmentResult struct {
 // RD is rejected: its random decomposition draws one value per row of
 // the whole query path, so it cannot be reproduced segment by segment
 // (single-region RD queries are proxied whole instead).
-func (h *HybridGraph) EvaluateSegment(syn *SynopsisStore, memo *ConvMemo, in SegmentInput) (*SegmentResult, error) {
+//
+// ctx bounds the segment's evaluation: the factor chain and edge
+// derivations check its deadline as they go.
+func (ev *Evaluator) EvaluateSegment(ctx context.Context, in SegmentInput) (*SegmentResult, error) {
+	h := ev.H
 	if len(in.Path) == 0 {
 		return nil, fmt.Errorf("core: cannot evaluate an empty segment")
 	}
 	if !h.G.ValidPath(in.Path) {
 		return nil, fmt.Errorf("core: segment %v is not a valid path", in.Path)
 	}
-	opt := in.Opt
-	if opt.Method == "" {
-		opt.Method = MethodOD
-	}
+	opt := in.Opt.withDefaults()
 	if opt.Method == MethodRD {
 		return nil, fmt.Errorf("core: method RD draws one random decomposition over the whole query; it cannot be evaluated segment by segment")
 	}
@@ -164,7 +160,7 @@ func (h *HybridGraph) EvaluateSegment(syn *SynopsisStore, memo *ConvMemo, in Seg
 		if in.UI.Lo != in.Depart || in.UI.Hi != in.Depart {
 			return nil, fmt.Errorf("core: a first segment must start from the point interval [depart, depart], got [%g, %g]", in.UI.Lo, in.UI.Hi)
 		}
-		st, err := h.pathStateCtx(in.Ctx, syn, memo, in.Path, in.Depart, opt)
+		st, err := ev.State(ctx, in.Path, in.Depart, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +202,7 @@ func (h *HybridGraph) EvaluateSegment(syn *SynopsisStore, memo *ConvMemo, in Seg
 	// evaluation performs right after its boundary fold. A non-nil
 	// start state disables runChain's recycling, so the caller's state
 	// (and anything sharing its buffers) stays untouched.
-	state, err := h.runChain(in.Ctx, de, in.State.cs, 0, nil)
+	state, err := h.runChain(ctx, de, in.State.cs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestChainStateEncodeDecodeRoundTrip(t *testing.T) {
 	h := partitionedFixture(t)
 	seg := graph.Path{0, 1, 2}
 	depart := 8 * 3600.0
-	res, err := h.EvaluateSegment(nil, nil, SegmentInput{
+	res, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), SegmentInput{
 		Path: seg, Depart: depart,
 		UI: TimeInterval{Lo: depart, Hi: depart},
 	})
@@ -84,7 +85,7 @@ func TestEvaluateSegmentRelayMatchesWholePath(t *testing.T) {
 			t.Fatalf("%s: CostDistribution: %v", m, err)
 		}
 
-		r1, err := h.EvaluateSegment(nil, nil, SegmentInput{
+		r1, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), SegmentInput{
 			Path: segA, Depart: depart,
 			UI: TimeInterval{Lo: depart, Hi: depart}, Opt: opt,
 		})
@@ -101,7 +102,7 @@ func TestEvaluateSegmentRelayMatchesWholePath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: DecodeChainState: %v", m, err)
 		}
-		r2, err := h.EvaluateSegment(nil, nil, SegmentInput{
+		r2, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), SegmentInput{
 			Path: segB, Depart: depart, UI: r1.UI, State: relay, Opt: opt,
 		})
 		if err != nil {
@@ -133,14 +134,14 @@ func TestEvaluateSegmentFirstUsesStores(t *testing.T) {
 	depart := 8 * 3600.0
 	in := SegmentInput{Path: seg, Depart: depart, UI: TimeInterval{Lo: depart, Hi: depart}}
 
-	bare, err := h.EvaluateSegment(nil, nil, in)
+	bare, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), in)
 	if err != nil {
 		t.Fatalf("bare: %v", err)
 	}
 	memo := NewConvMemo(256)
 	var warmed *SegmentResult
 	for i := 0; i < 2; i++ { // second pass resumes from the memo
-		warmed, err = h.EvaluateSegment(nil, memo, in)
+		warmed, err = (&Evaluator{H: h, Memo: memo}).EvaluateSegment(context.Background(), in)
 		if err != nil {
 			t.Fatalf("memo pass %d: %v", i, err)
 		}
@@ -160,7 +161,7 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 	depart := 8 * 3600.0
 	point := TimeInterval{Lo: depart, Hi: depart}
 	relay := func() *ChainState {
-		res, err := h.EvaluateSegment(nil, nil, SegmentInput{Path: graph.Path{0, 1, 2}, Depart: depart, UI: point})
+		res, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), SegmentInput{Path: graph.Path{0, 1, 2}, Depart: depart, UI: point})
 		if err != nil {
 			t.Fatalf("building relay state: %v", err)
 		}
@@ -180,22 +181,22 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 		{"unknown method", SegmentInput{Path: graph.Path{3, 4}, Depart: depart, UI: point, State: relay, Opt: QueryOptions{Method: "XX"}}, "unknown method"},
 	}
 	for _, tc := range cases {
-		_, err := h.EvaluateSegment(nil, nil, tc.in)
+		_, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), tc.in)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got error %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 
 	// A continuation must start from an accumulator-only state.
-	st, err := h.PathStateWith(nil, nil, graph.Path{0, 1, 2}, depart, QueryOptions{Method: MethodOD})
+	st, err := (&Evaluator{H: h}).State(context.Background(), graph.Path{0, 1, 2}, depart, QueryOptions{Method: MethodOD})
 	if err != nil {
-		t.Fatalf("PathStateWith: %v", err)
+		t.Fatalf("State: %v", err)
 	}
 	if st.preFold == nil || len(st.preFold.open) == 0 {
 		t.Skip("fixture produced no open pre-fold state")
 	}
 	open := &ChainState{cs: st.preFold}
-	_, err = h.EvaluateSegment(nil, nil, SegmentInput{
+	_, err = (&Evaluator{H: h}).EvaluateSegment(context.Background(), SegmentInput{
 		Path: graph.Path{3, 4}, Depart: depart, UI: point, State: open,
 	})
 	if err == nil || !strings.Contains(err.Error(), "accumulator-only") {
@@ -205,7 +206,7 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 
 func TestDecodeChainStateRejectsGarbage(t *testing.T) {
 	h := partitionedFixture(t)
-	res, err := h.EvaluateSegment(nil, nil, SegmentInput{
+	res, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), SegmentInput{
 		Path: graph.Path{0, 1, 2}, Depart: 8 * 3600.0,
 		UI: TimeInterval{Lo: 8 * 3600.0, Hi: 8 * 3600.0},
 	})
@@ -276,7 +277,7 @@ func TestFilterVariablesStableAndExact(t *testing.T) {
 // re-encode to a decodable state.
 func FuzzPartialState(f *testing.F) {
 	h := partitionedFixture(f)
-	res, err := h.EvaluateSegment(nil, nil, SegmentInput{
+	res, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), SegmentInput{
 		Path: graph.Path{0, 1, 2}, Depart: 8 * 3600.0,
 		UI: TimeInterval{Lo: 8 * 3600.0, Hi: 8 * 3600.0},
 	})

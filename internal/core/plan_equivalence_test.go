@@ -61,7 +61,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 			return false
 		}
 
-		bp := NewBatchPlanner(h, 4)
+		bp := NewBatchPlanner(4)
 		for _, cfg := range []struct {
 			name string
 			syn  *SynopsisStore
@@ -73,7 +73,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 			{"both", syn, NewConvMemo(1 << 10)},
 		} {
 			for pass := 0; pass < 2; pass++ { // cold, then warm stores
-				out, stats := bp.Distributions(context.Background(), cfg.syn, cfg.memo, queries)
+				out, stats := bp.Distributions(context.Background(), &Evaluator{H: h, Syn: cfg.syn, Memo: cfg.memo}, queries)
 				if len(out) != len(queries) {
 					return false
 				}
@@ -126,7 +126,7 @@ func TestPlannerMatchesNaiveOracle(t *testing.T) {
 	for _, p := range paths {
 		queries = append(queries, PlanQuery{Path: p, Depart: departs[0]})
 	}
-	out, _ := NewBatchPlanner(h, 4).Distributions(context.Background(), nil, nil, queries)
+	out, _ := NewBatchPlanner(4).Distributions(context.Background(), &Evaluator{H: h}, queries)
 	for i, q := range queries {
 		want, err := naiveDistribution(h, q.Path, q.Depart, q.Opt)
 		if err != nil {

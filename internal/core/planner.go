@@ -19,40 +19,33 @@ import (
 // through the memo cache. All paths are decomposed edge-wise into a
 // prefix trie; every interior node carries a refcount of the queries
 // traversing it; and each node's chain state is evaluated exactly
-// once (probing synopsis → memo → compute, the same order the *With
-// entry points use), in dependency order across a bounded worker
-// pool. Per-query results come out in input order and are
-// byte-identical to independent evaluation: node states are built by
-// the same StartPath/ExtendPath chain operations, and the final
-// marginal is derived by the same stateResult the single-query path
-// uses.
+// once through the Evaluator's synopsis → memo → compute step, in
+// dependency order across a bounded worker pool. Per-query results
+// come out in input order and are byte-identical to independent
+// evaluation: node states are built by the same Evaluator.Extend
+// step, and the final marginal is derived by the same stateResult the
+// single-query path uses.
 //
 // A BatchPlanner is immutable after construction and safe for
 // concurrent use; each Distributions/ExtendAll call runs its own
 // worker pool.
 type BatchPlanner struct {
-	h       *HybridGraph
 	workers int
 }
 
-// NewBatchPlanner builds a planner over h whose evaluation runs on at
-// most workers goroutines; workers ≤ 0 means GOMAXPROCS. workers == 1
-// still plans (the CSE win is independent of parallelism) but
-// evaluates serially.
-func NewBatchPlanner(h *HybridGraph, workers int) *BatchPlanner {
+// NewBatchPlanner builds a planner whose evaluation runs on at most
+// workers goroutines; workers ≤ 0 means GOMAXPROCS. workers == 1 still
+// plans (the CSE win is independent of parallelism) but evaluates
+// serially. The model and stores come with each call's Evaluator.
+func NewBatchPlanner(workers int) *BatchPlanner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &BatchPlanner{h: h, workers: workers}
+	return &BatchPlanner{workers: workers}
 }
 
 // Workers returns the planner's worker-pool bound.
 func (bp *BatchPlanner) Workers() int { return bp.workers }
-
-// Hybrid returns the model the planner evaluates against; an
-// epoch-versioned System uses this to detect a planner built for an
-// older model snapshot.
-func (bp *BatchPlanner) Hybrid() *HybridGraph { return bp.h }
 
 // PlanQuery is one entry of a batch handed to the planner.
 type PlanQuery struct {
@@ -69,7 +62,7 @@ type PlanResult struct {
 }
 
 // PlanStats instruments one planned batch. Independent evaluation of
-// a batch runs one chain step (StartPath or ExtendPath) per query
+// a batch runs one chain step (one Evaluator.Extend) per query
 // edge — IndependentSteps in total; the planner runs Convolutions of
 // them (one per trie node not answered by a probe), so
 // IndependentSteps − Convolutions − ProbeHits is the work sharing
@@ -129,22 +122,18 @@ type planCounters struct {
 	probeHits    atomic.Int64
 }
 
-// Distributions plans and answers a batch of distribution queries.
-// Results are positional: out[i] answers queries[i], byte-identical
-// to CostDistributionWith(syn, memo, …) on the same stores. Either
-// store may be nil. A query whose evaluation fails gets a per-entry
-// error; the failure never poisons trie nodes other queries share
-// (only the failing node's own subtree inherits it). ctx cancellation
-// abandons nodes not yet evaluated, surfacing ctx.Err() on the
-// affected entries.
+// Distributions plans and answers a batch of distribution queries
+// through ev. Results are positional: out[i] answers queries[i],
+// byte-identical to ev.Distribution on the same query. A query whose
+// evaluation fails gets a per-entry error; the failure never poisons
+// trie nodes other queries share (only the failing node's own subtree
+// inherits it). ctx cancellation abandons nodes not yet evaluated,
+// surfacing ctx.Err() on the affected entries.
 //
 // Each planned entry's Timing reports the batch's shared evaluation
 // elapsed (the plan evaluates nodes for many queries at once, so
 // per-entry attribution is not meaningful).
-func (bp *BatchPlanner) Distributions(ctx context.Context, syn *SynopsisStore, memo *ConvMemo, queries []PlanQuery) ([]PlanResult, PlanStats) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (bp *BatchPlanner) Distributions(ctx context.Context, ev *Evaluator, queries []PlanQuery) ([]PlanResult, PlanStats) {
 	t0 := time.Now()
 	out := make([]PlanResult, len(queries))
 	var stats PlanStats
@@ -156,10 +145,7 @@ func (bp *BatchPlanner) Distributions(ctx context.Context, syn *SynopsisStore, m
 	var fallback []int
 	total := 0 // nodes across all groups
 	for i, q := range queries {
-		opt := q.Opt
-		if opt.Method == "" {
-			opt.Method = MethodOD
-		}
+		opt := q.Opt.withDefaults()
 		if len(q.Path) == 0 {
 			out[i] = PlanResult{Err: fmt.Errorf("core: cannot evaluate an empty path")}
 			continue
@@ -232,7 +218,7 @@ func (bp *BatchPlanner) Distributions(ctx context.Context, syn *SynopsisStore, m
 			go func() {
 				defer pool.Done()
 				for task := range ready {
-					bp.evalNode(ctx, syn, memo, task.group, task.node, &ctr)
+					bp.evalNode(ctx, ev, task.group, task.node, &ctr)
 					// The node's fields are fully written before its
 					// children are enqueued, so the channel's
 					// happens-before edge publishes them to whichever
@@ -260,7 +246,7 @@ func (bp *BatchPlanner) Distributions(ctx context.Context, syn *SynopsisStore, m
 					out[qi] = PlanResult{Err: n.err}
 					continue
 				}
-				res, err := bp.h.stateResult(n.state)
+				res, err := ev.H.stateResult(n.state)
 				if err != nil {
 					out[qi] = PlanResult{Err: err}
 					continue
@@ -296,11 +282,7 @@ func (bp *BatchPlanner) Distributions(ctx context.Context, syn *SynopsisStore, m
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					if err := ctx.Err(); err != nil {
-						out[i] = PlanResult{Err: err}
-						continue
-					}
-					res, err := bp.h.CostDistribution(queries[i].Path, queries[i].Depart, queries[i].Opt)
+					res, err := ev.Distribution(ctx, queries[i].Path, queries[i].Depart, queries[i].Opt)
 					out[i] = PlanResult{Res: res, Err: err}
 				}
 			}()
@@ -328,15 +310,14 @@ func sortedRootEdges(roots map[graph.EdgeID]*planNode) []graph.EdgeID {
 	return out
 }
 
-// evalNode computes one trie node's chain state: probe the synopsis,
-// then the memo, then extend the parent's state by one edge — exactly
-// the StartPathWith/ExtendPathWith order, so planned states are the
-// states independent evaluation would build. A failing node records
-// its error; descendants inherit it (they cannot be evaluated without
-// the parent state) but siblings and ancestors are untouched — one
-// unanswerable query never poisons the sub-paths it shares with valid
-// ones.
-func (bp *BatchPlanner) evalNode(ctx context.Context, syn *SynopsisStore, memo *ConvMemo, g *planGroup, n *planNode, ctr *planCounters) {
+// evalNode computes one trie node's chain state with one Evaluator
+// step — probe the synopsis, then the memo, else extend the parent's
+// state by one edge — so planned states are the states independent
+// evaluation would build. A failing node records its error;
+// descendants inherit it (they cannot be evaluated without the parent
+// state) but siblings and ancestors are untouched — one unanswerable
+// query never poisons the sub-paths it shares with valid ones.
+func (bp *BatchPlanner) evalNode(ctx context.Context, ev *Evaluator, g *planGroup, n *planNode, ctr *planCounters) {
 	if n.parent != nil && n.parent.err != nil {
 		n.err = n.parent.err
 		return
@@ -345,41 +326,20 @@ func (bp *BatchPlanner) evalNode(ctx context.Context, syn *SynopsisStore, memo *
 		n.err = err
 		return
 	}
-	// Synopsis keys carry no epoch tag (the store is rebuilt per
-	// epoch); the memo may be an epoch-scoped view of a shared LRU, so
-	// its probes go through the view's prefixed key.
-	key := memoKey(n.prefix.Key(), g.t, g.opt)
-	if syn != nil {
-		if s, ok := syn.lookupKey(key); ok {
-			n.state = s
-			ctr.probeHits.Add(1)
-			bp.primeDist(n)
-			return
-		}
+	var parent *PathState
+	if n.parent != nil {
+		parent = n.parent.state
 	}
-	if memo != nil {
-		if s, ok := memo.lru.Get(memo.prefix + key); ok {
-			n.state = s
-			ctr.probeHits.Add(1)
-			bp.primeDist(n)
-			return
-		}
-	}
-	var s *PathState
-	var err error
-	if n.parent == nil {
-		s, err = bp.h.StartPath(n.prefix[0], g.t, g.opt)
-	} else {
-		s, err = bp.h.ExtendPath(n.parent.state, n.prefix[len(n.prefix)-1])
-	}
+	s, hit, err := ev.extend(parent, n.prefix[len(n.prefix)-1], g.t, g.opt)
 	if err != nil {
 		n.err = err
 		return
 	}
 	n.state = s
-	ctr.convolutions.Add(1)
-	if memo != nil {
-		memo.lru.Put(memo.prefix+key, s)
+	if hit {
+		ctr.probeHits.Add(1)
+	} else {
+		ctr.convolutions.Add(1)
 	}
 	bp.primeDist(n)
 }
@@ -397,11 +357,10 @@ func (bp *BatchPlanner) primeDist(n *planNode) {
 // state concurrently — the DFS-frontier form of batch planning: the
 // expansions of one routing search node are an implicit batch whose
 // common sub-expression is the parent's chain state. parent == nil
-// starts fresh single-edge states. Each extension goes through the
-// regular StartPathWith/ExtendPathWith entry points (synopsis → memo
-// → compute), so results are byte-identical to sequential expansion.
-// Positional: states[i]/errs[i] answer edges[i].
-func (bp *BatchPlanner) ExtendAll(syn *SynopsisStore, memo *ConvMemo, parent *PathState, t float64, opt QueryOptions, edges []graph.EdgeID) ([]*PathState, []error) {
+// starts fresh single-edge states departing at t under opt. Each
+// extension is one ev.Extend, so results are byte-identical to
+// sequential expansion. Positional: states[i]/errs[i] answer edges[i].
+func (bp *BatchPlanner) ExtendAll(ev *Evaluator, parent *PathState, t float64, opt QueryOptions, edges []graph.EdgeID) ([]*PathState, []error) {
 	states := make([]*PathState, len(edges))
 	errs := make([]error, len(edges))
 	workers := bp.workers
@@ -410,7 +369,7 @@ func (bp *BatchPlanner) ExtendAll(syn *SynopsisStore, memo *ConvMemo, parent *Pa
 	}
 	if workers <= 1 {
 		for i, e := range edges {
-			states[i], errs[i] = bp.extendOne(syn, memo, parent, t, opt, e)
+			states[i], errs[i] = extendOne(ev, parent, t, opt, e)
 		}
 		return states, errs
 	}
@@ -425,7 +384,7 @@ func (bp *BatchPlanner) ExtendAll(syn *SynopsisStore, memo *ConvMemo, parent *Pa
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				states[i], errs[i] = bp.extendOne(syn, memo, parent, t, opt, edges[i])
+				states[i], errs[i] = extendOne(ev, parent, t, opt, edges[i])
 			}
 		}()
 	}
@@ -433,14 +392,8 @@ func (bp *BatchPlanner) ExtendAll(syn *SynopsisStore, memo *ConvMemo, parent *Pa
 	return states, errs
 }
 
-func (bp *BatchPlanner) extendOne(syn *SynopsisStore, memo *ConvMemo, parent *PathState, t float64, opt QueryOptions, e graph.EdgeID) (*PathState, error) {
-	var s *PathState
-	var err error
-	if parent == nil {
-		s, err = bp.h.StartPathWith(syn, memo, e, t, opt)
-	} else {
-		s, err = bp.h.ExtendPathWith(syn, memo, parent, e)
-	}
+func extendOne(ev *Evaluator, parent *PathState, t float64, opt QueryOptions, e graph.EdgeID) (*PathState, error) {
+	s, err := ev.Extend(parent, e, t, opt)
 	if err != nil {
 		return nil, err
 	}

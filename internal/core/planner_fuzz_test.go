@@ -103,12 +103,20 @@ func FuzzBatchPlanner(f *testing.F) {
 		if len(queries) == 0 {
 			return
 		}
-		bp := NewBatchPlanner(h, 4)
-		out, stats := bp.Distributions(context.Background(), nil, fuzzPlanMemo, queries)
+		bp := NewBatchPlanner(4)
+		out, stats := bp.Distributions(context.Background(), &Evaluator{H: h, Memo: fuzzPlanMemo}, queries)
 		if len(out) != len(queries) {
 			t.Fatalf("%d results for %d queries", len(out), len(queries))
 		}
 		checkPlannedMatchesIndependent(t, h, queries, out)
+		for i, r := range out {
+			if r.Err != nil {
+				continue
+			}
+			if err := checkPrefixOverlaps(r.Res.Decomp); err != nil {
+				t.Fatalf("entry %d (%s %v): %v", i, queries[i].Opt.Method, queries[i].Path, err)
+			}
+		}
 		if stats.Planned+stats.Fallback != stats.Queries {
 			t.Fatalf("planned %d + fallback %d != queries %d",
 				stats.Planned, stats.Fallback, stats.Queries)

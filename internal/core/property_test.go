@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,6 +63,28 @@ func pointAt(i int) geo.Point {
 	return geo.Point{Lat: 57 + float64(i)*0.002, Lon: 9.9}
 }
 
+// checkPrefixOverlaps asserts the shape the merge-join multiply
+// relies on: before each factor, the chain state keeps open exactly
+// the edges the factor shares with its predecessor, and they must be
+// a leading prefix of the factor's positions. multiply refuses any
+// other shape, so a decomposition failing this would make evaluation
+// error out rather than mis-join.
+func checkPrefixOverlaps(de *Decomposition) error {
+	for i := 1; i < len(de.Vars); i++ {
+		open := overlapWithNext(de, i-1)
+		idx := indexOf(factorPositions(de, i), open)
+		if len(idx) != len(open) {
+			return fmt.Errorf("factor %d at %d: overlap %v not inside its positions", i, de.Pos[i], open)
+		}
+		for j, d := range idx {
+			if d != j {
+				return fmt.Errorf("factor %d at %d: overlap %v is not a leading prefix", i, de.Pos[i], open)
+			}
+		}
+	}
+	return nil
+}
+
 // PROPERTY: on arbitrary random workloads, every decomposition kind is
 // valid, the coarsest decomposition dominates the others (their paths
 // are sub-paths of OD's), and every estimator returns a proper
@@ -92,11 +116,15 @@ func TestPropertyDecompositionsValid(t *testing.T) {
 			ca.CoarsestDecomposition(2),
 			ca.RandomDecomposition(rand.New(rand.NewSource(seed))),
 		}
-		if od.Validate(query) != nil {
+		if od.Validate(query) != nil || checkPrefixOverlaps(od) != nil {
 			return false
 		}
 		for _, alt := range others {
 			if alt.Validate(query) != nil {
+				return false
+			}
+			if err := checkPrefixOverlaps(alt); err != nil {
+				t.Logf("seed %d: %v", seed, err)
 				return false
 			}
 			for _, v := range alt.Vars {
@@ -110,6 +138,28 @@ func TestPropertyDecompositionsValid(t *testing.T) {
 				if !contained {
 					return false
 				}
+			}
+		}
+		// A shard continuation decomposes its segment from the relayed
+		// departure interval; its factors chain the same way.
+		cut := 1 + rand.New(rand.NewSource(seed)).Intn(len(query)-1)
+		first, err := (&Evaluator{H: h}).EvaluateSegment(context.Background(), SegmentInput{
+			Path: query[:cut], Depart: depart, UI: TimeInterval{Lo: depart, Hi: depart},
+		})
+		if err != nil {
+			return false
+		}
+		cont, _, err := h.buildCandidateArrayFrom(query[cut:], first.UI)
+		if err != nil {
+			return false
+		}
+		for _, de := range []*Decomposition{
+			cont.CoarsestDecomposition(0), cont.CoarsestDecomposition(2),
+			cont.PairDecomposition(), cont.UnitDecomposition(),
+		} {
+			if err := checkPrefixOverlaps(de); err != nil {
+				t.Logf("seed %d continuation at %d: %v", seed, cut, err)
+				return false
 			}
 		}
 		// Every method yields a normalized distribution with plausible

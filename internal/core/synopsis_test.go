@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -142,7 +143,7 @@ func TestSynopsisHitIsZeroConvolutions(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := syn.Stats()
-	st, err := h.PathStateWith(syn, nil, p, dep, QueryOptions{Method: MethodOD})
+	st, err := (&Evaluator{H: h, Syn: syn}).State(context.Background(), p, dep, QueryOptions{Method: MethodOD})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestSynopsisHitIsZeroConvolutions(t *testing.T) {
 		t.Fatal("full-path hit returned a recomputed state instead of the stored one")
 	}
 	// A query for a path outside the synopsis counts a miss.
-	if _, err := h.PathStateWith(syn, nil, graph.Path{1, 2}, dep, QueryOptions{Method: MethodOD}); err != nil {
+	if _, err := (&Evaluator{H: h, Syn: syn}).State(context.Background(), graph.Path{1, 2}, dep, QueryOptions{Method: MethodOD}); err != nil {
 		t.Fatal(err)
 	}
 	if st := syn.Stats(); st.Misses != after.Misses+1 {
@@ -183,7 +184,7 @@ func TestSynopsisComposesWithMemo(t *testing.T) {
 		t.Fatalf("fixture synopsis has %d entries, want 1", syn.Len())
 	}
 	memo := NewConvMemo(64)
-	if _, err := h.PathStateWith(syn, memo, full, dep, QueryOptions{Method: MethodOD}); err != nil {
+	if _, err := (&Evaluator{H: h, Syn: syn, Memo: memo}).State(context.Background(), full, dep, QueryOptions{Method: MethodOD}); err != nil {
 		t.Fatal(err)
 	}
 	// Extensions [:4] and [:5] were computed once and memoized.
@@ -195,7 +196,7 @@ func TestSynopsisComposesWithMemo(t *testing.T) {
 	}
 	// Second evaluation: deepest base now comes from the memo, and no
 	// new states are stored.
-	if _, err := h.PathStateWith(syn, memo, full, dep, QueryOptions{Method: MethodOD}); err != nil {
+	if _, err := (&Evaluator{H: h, Syn: syn, Memo: memo}).State(context.Background(), full, dep, QueryOptions{Method: MethodOD}); err != nil {
 		t.Fatal(err)
 	}
 	if st := memo.Stats(); st.Entries != 2 || st.Hits == 0 {

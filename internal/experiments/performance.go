@@ -128,7 +128,7 @@ func Fig18(e *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := routing.New(h)
+	r := routing.New(&core.Evaluator{H: h})
 	t := &Table{
 		ID:     "fig18",
 		Title:  fmt.Sprintf("Stochastic routing run-time, %s (avg ms per query)", e.Cfg.Name),

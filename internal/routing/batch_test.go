@@ -14,7 +14,7 @@ import (
 func TestBestPathFrontierBatchIdentical(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
 		q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5}
 		seq, err := r.BestPath(q, Options{Method: m, Incremental: true})
@@ -41,7 +41,7 @@ func TestBestPathFrontierBatchIdentical(t *testing.T) {
 func TestTopKFrontierBatchIdentical(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5}
 	seq, err := r.TopKPaths(q, 3, Options{Incremental: true})
 	if err != nil {
@@ -65,7 +65,7 @@ func TestTopKFrontierBatchIdentical(t *testing.T) {
 func TestSkylineFrontierBatchIdentical(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5}
 	seq, err := r.SkylinePaths(q, 8, Options{Incremental: true})
 	if err != nil {
@@ -92,14 +92,14 @@ func TestFrontierBatchWithMemoIdentical(t *testing.T) {
 	src, dst, ff := pickQuery(t, g)
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5}
 
-	cold := New(h)
+	cold := New(&core.Evaluator{H: h})
 	seq, err := cold.BestPath(q, Options{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warm := New(h)
-	warm.EnableMemo(1 << 12)
+	memo := core.NewConvMemo(1 << 12)
+	warm := New(&core.Evaluator{H: h, Memo: memo})
 	for pass := 0; pass < 2; pass++ {
 		bat, err := warm.BestPath(q, Options{Incremental: true, BatchWorkers: 4})
 		if err != nil {
@@ -109,7 +109,7 @@ func TestFrontierBatchWithMemoIdentical(t *testing.T) {
 			t.Fatalf("pass %d: memoized batched search diverged from cold sequential", pass)
 		}
 	}
-	if st, ok := warm.MemoStats(); !ok || st.Hits == 0 {
+	if st := memo.Stats(); st.Hits == 0 {
 		t.Fatal("second pass never hit the memo")
 	}
 }

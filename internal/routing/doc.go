@@ -13,10 +13,10 @@
 // probabilistic top-k path queries and skyline.go to stochastic
 // skyline queries.
 //
-// Router.EnableMemo layers the incremental sub-path convolution
-// engine (core.ConvMemo) under the DFS: prefix chain states are
-// memoized across queries, so repeated or overlapping searches —
-// including the entries of one server batch — extend a candidate by
-// one edge with a single memo lookup when the prefix was seen before.
-// Memoized results are byte-identical to unmemoized ones.
+// A Router evaluates every DFS expansion through one core.Evaluator:
+// with a memo (core.ConvMemo) or synopsis attached, prefix chain
+// states are reused across queries, so repeated or overlapping
+// searches — including the entries of one server batch — extend a
+// candidate by one edge with a single lookup when the prefix was seen
+// before. Store-backed results are byte-identical to store-free ones.
 package routing

@@ -34,21 +34,20 @@ func exampleRouter() (*routing.Router, graph.VertexID, graph.VertexID, float64, 
 			dst = graph.VertexID(v)
 		}
 	}
-	return routing.New(h), src, dst, best, nil
+	return routing.New(&core.Evaluator{H: h}), src, dst, best, nil
 }
 
 // ExampleRouter_BestPath answers a probabilistic budget query: the
 // path from src to dst that maximizes the probability of arriving
-// within the budget, departing at 08:00. EnableMemo turns on the
-// incremental sub-path convolution engine, so repeating or
-// overlapping queries reuse already-evaluated prefixes.
+// within the budget, departing at 08:00. The router's evaluator
+// carries a convolution memo, so repeating or overlapping queries
+// reuse already-evaluated prefixes.
 func ExampleRouter_BestPath() {
 	r, src, dst, freeFlow, err := exampleRouter()
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	r.EnableMemo(4096) // share sub-path convolutions across queries
 
 	res, err := r.BestPath(routing.Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: freeFlow * 2,
@@ -74,7 +73,6 @@ func ExampleRouter_TopKPaths() {
 		fmt.Println("error:", err)
 		return
 	}
-	r.EnableMemo(4096)
 
 	routes, err := r.TopKPaths(routing.Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: freeFlow * 2,

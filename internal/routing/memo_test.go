@@ -31,9 +31,9 @@ func sameBuckets(t *testing.T, ctx string, a, b *hist.Histogram) {
 func TestMemoEquivalence(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	plain := New(h)
-	memod := New(h)
-	memod.EnableMemo(4096)
+	plain := New(&core.Evaluator{H: h})
+	memo := core.NewConvMemo(4096)
+	memod := New(&core.Evaluator{H: h, Memo: memo})
 
 	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
 		q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2}
@@ -89,11 +89,8 @@ func TestMemoEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if st, ok := memod.MemoStats(); !ok || st.Hits == 0 {
+	if st := memo.Stats(); st.Hits == 0 {
 		t.Fatalf("memo never hit: %+v", st)
-	}
-	if _, ok := plain.MemoStats(); ok {
-		t.Fatal("plain router reports a memo")
 	}
 }
 
@@ -104,9 +101,9 @@ func TestMemoEquivalence(t *testing.T) {
 func TestMemoConcurrentQueries(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	plain := New(h)
-	memod := New(h)
-	memod.EnableMemo(4096)
+	plain := New(&core.Evaluator{H: h})
+	memo := core.NewConvMemo(4096)
+	memod := New(&core.Evaluator{H: h, Memo: memo})
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2}
 	opt := Options{Incremental: true}
 	want, err := plain.BestPath(q, opt)
@@ -157,8 +154,8 @@ func TestMemoConcurrentQueries(t *testing.T) {
 func TestRoutingEdgeCasesWithMemo(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, _ := pickQuery(t, g)
-	r := New(h)
-	r.EnableMemo(1024)
+	memo := core.NewConvMemo(1024)
+	r := New(&core.Evaluator{H: h, Memo: memo})
 
 	// Source equals destination: rejected by every query family.
 	if _, err := r.BestPath(Query{Source: src, Dest: src, Budget: 100}, Options{Incremental: true}); err == nil {
@@ -175,7 +172,7 @@ func TestRoutingEdgeCasesWithMemo(t *testing.T) {
 	// beat the initial incumbent bound; whatever the outcome (a
 	// zero-probability path or a not-found error), it must be the
 	// same with and without the memo.
-	plain := New(h)
+	plain := New(&core.Evaluator{H: h})
 	zq := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: 0}
 	pres, perr := plain.BestPath(zq, Options{Incremental: true})
 	mres, merr := r.BestPath(zq, Options{Incremental: true})

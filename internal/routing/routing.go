@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hist"
@@ -57,72 +55,20 @@ type Result struct {
 	Elapsed  time.Duration
 }
 
-// Router answers stochastic routing queries over one hybrid graph.
-// It is safe for concurrent use; the optional convolution memo
-// (EnableMemo/SetMemo) is shared by all concurrent queries.
+// Router answers stochastic routing queries through one core
+// evaluator. It is safe for concurrent use; the evaluator's synopsis
+// and memo, when present, are shared by all concurrent queries, so a
+// DFS expansion whose prefix was already evaluated — by an earlier
+// query, a concurrent batch entry, or a distribution query sharing the
+// stores — costs one lookup instead of a convolution.
 type Router struct {
-	h *core.HybridGraph
-
-	// memo, when non-nil, caches sub-path chain states across queries
-	// so a DFS expansion whose prefix was already evaluated — by an
-	// earlier query, a concurrent batch entry, or a distribution
-	// query sharing the memo — costs one lookup instead of a
-	// convolution. Atomic so it can be installed or dropped while
-	// queries run.
-	memo atomic.Pointer[core.ConvMemo]
-
-	// synopsis, when non-nil, is the offline sub-path synopsis: it is
-	// probed before the memo on every DFS expansion, so prefixes
-	// materialized at training time cost zero convolutions from the
-	// first query after boot. Atomic for the same hot-swap reason.
-	synopsis atomic.Pointer[core.SynopsisStore]
+	ev *core.Evaluator
 }
 
-// New creates a Router.
-func New(h *core.HybridGraph) *Router {
-	return &Router{h: h}
+// New creates a Router evaluating candidate paths through ev.
+func New(ev *core.Evaluator) *Router {
+	return &Router{ev: ev}
 }
-
-// EnableMemo installs a fresh convolution memo holding at most
-// capacity prefix states; capacity ≤ 0 removes the memo. Memoized
-// results are byte-identical to unmemoized ones (the memo keys on the
-// exact departure time, not the α-interval). Safe to call while
-// queries are in flight: running queries finish against whichever
-// memo they started with.
-func (r *Router) EnableMemo(capacity int) {
-	if capacity <= 0 {
-		r.memo.Store(nil)
-		return
-	}
-	r.memo.Store(core.NewConvMemo(capacity))
-}
-
-// SetMemo shares an existing memo (possibly nil) with this router —
-// used by pathcost.System to let routing and distribution queries
-// reuse each other's prefix states.
-func (r *Router) SetMemo(m *core.ConvMemo) { r.memo.Store(m) }
-
-// Memo returns the currently installed memo, or nil.
-func (r *Router) Memo() *core.ConvMemo { return r.memo.Load() }
-
-// MemoStats snapshots the memo's hit/miss/eviction counters; ok is
-// false when no memo is installed.
-func (r *Router) MemoStats() (cache.Stats, bool) {
-	m := r.memo.Load()
-	if m == nil {
-		return cache.Stats{}, false
-	}
-	return m.Stats(), true
-}
-
-// SetSynopsis shares an offline synopsis store (possibly nil) with
-// this router — installed by pathcost.System so routing expansions
-// reuse the sub-path states persisted with the model. Synopsis-backed
-// expansions are byte-identical to computed ones.
-func (r *Router) SetSynopsis(s *core.SynopsisStore) { r.synopsis.Store(s) }
-
-// Synopsis returns the currently installed synopsis store, or nil.
-func (r *Router) Synopsis() *core.SynopsisStore { return r.synopsis.Load() }
 
 // BestPath runs the DFS budget query. It returns an error when the
 // destination is unreachable or no path satisfies the budget with
@@ -138,7 +84,7 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 	if opt.MaxEdges == 0 {
 		opt.MaxEdges = 150
 	}
-	g := r.h.G
+	g := r.ev.H.G
 	if q.Source == q.Dest {
 		return nil, fmt.Errorf("routing: source equals destination")
 	}
@@ -151,11 +97,10 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 
 	res := &Result{}
 	best := 0.0
-	memo := r.memo.Load()
-	syn := r.synopsis.Load()
+	qopt := core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}
 	var batch *core.BatchPlanner
 	if opt.Incremental && opt.BatchWorkers > 1 {
-		batch = core.NewBatchPlanner(r.h, opt.BatchWorkers)
+		batch = core.NewBatchPlanner(opt.BatchWorkers)
 	}
 	visited := make(map[graph.VertexID]bool)
 	visited[q.Source] = true
@@ -171,8 +116,7 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 		sort.Slice(outs, func(i, j int) bool {
 			return lb[g.Edge(outs[i]).To] < lb[g.Edge(outs[j]).To]
 		})
-		bpos, bstates, berrs := frontierBatch(batch, syn, memo, g, lb, visited,
-			state, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}, outs)
+		bpos, bstates, berrs := r.frontierBatch(batch, lb, visited, state, q.Depart, qopt, outs)
 		for _, eid := range outs {
 			e := g.Edge(eid)
 			if visited[e.To] {
@@ -190,10 +134,8 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 			if opt.Incremental {
 				if i, ok := bpos[eid]; ok {
 					ns, err = bstates[i], berrs[i]
-				} else if state == nil {
-					ns, err = r.h.StartPathWith(syn, memo, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
 				} else {
-					ns, err = r.h.ExtendPathWith(syn, memo, state, eid)
+					ns, err = r.ev.Extend(state, eid, q.Depart, qopt)
 				}
 				if err == nil {
 					dist, err = ns.DistErr()
@@ -203,7 +145,7 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 				}
 			} else {
 				np := append(prefix.Clone(), eid)
-				qr, err := r.h.CostDistribution(np, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
+				qr, err := r.ev.H.CostDistribution(np, q.Depart, qopt)
 				if err != nil {
 					return err
 				}
@@ -259,13 +201,13 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 // mirrored, so a search that hits its cap mid-frontier may evaluate a
 // few unused states — they feed the shared memo but alter no counter
 // or result, keeping answers byte-identical to sequential expansion.
-func frontierBatch(bp *core.BatchPlanner, syn *core.SynopsisStore, memo *core.ConvMemo,
-	g *graph.Graph, lb []float64, visited map[graph.VertexID]bool,
+func (r *Router) frontierBatch(bp *core.BatchPlanner, lb []float64, visited map[graph.VertexID]bool,
 	state *core.PathState, t float64, opt core.QueryOptions, outs []graph.EdgeID,
 ) (map[graph.EdgeID]int, []*core.PathState, []error) {
 	if bp == nil {
 		return nil, nil, nil
 	}
+	g := r.ev.H.G
 	edges := make([]graph.EdgeID, 0, len(outs))
 	for _, eid := range outs {
 		e := g.Edge(eid)
@@ -277,7 +219,7 @@ func frontierBatch(bp *core.BatchPlanner, syn *core.SynopsisStore, memo *core.Co
 	if len(edges) < 2 {
 		return nil, nil, nil
 	}
-	states, errs := bp.ExtendAll(syn, memo, state, t, opt, edges)
+	states, errs := bp.ExtendAll(r.ev, state, t, opt, edges)
 	pos := make(map[graph.EdgeID]int, len(edges))
 	for i, eid := range edges {
 		pos[eid] = i
@@ -288,7 +230,7 @@ func frontierBatch(bp *core.BatchPlanner, syn *core.SynopsisStore, memo *core.Co
 // FastestPath is the deterministic comparison baseline: the free-flow
 // Dijkstra path and its (deterministic) travel time.
 func (r *Router) FastestPath(src, dst graph.VertexID) (graph.Path, float64, error) {
-	p, d, ok := r.h.G.ShortestPath(src, dst, graph.FreeFlowWeight)
+	p, d, ok := r.ev.H.G.ShortestPath(src, dst, graph.FreeFlowWeight)
 	if !ok {
 		return nil, 0, fmt.Errorf("routing: destination unreachable")
 	}

@@ -62,7 +62,7 @@ func pickQuery(t testing.TB, g *graph.Graph) (graph.VertexID, graph.VertexID, fl
 func TestBestPathFindsValidRoute(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	res, err := r.BestPath(Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 3,
 	}, Options{Incremental: true})
@@ -87,7 +87,7 @@ func TestBestPathFindsValidRoute(t *testing.T) {
 func TestBestPathProbMonotoneInBudget(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	prev := -1.0
 	for _, mult := range []float64{1.2, 2, 4} {
 		res, err := r.BestPath(Query{
@@ -106,7 +106,7 @@ func TestBestPathProbMonotoneInBudget(t *testing.T) {
 func TestBestPathMethodsAgreeOnEndpoints(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
 		res, err := r.BestPath(Query{
 			Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5,
@@ -124,7 +124,7 @@ func TestBestPathMethodsAgreeOnEndpoints(t *testing.T) {
 func TestBestPathIncrementalMatchesBatchSearch(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2}
 	inc, err := r.BestPath(q, Options{Incremental: true})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestBestPathIncrementalMatchesBatchSearch(t *testing.T) {
 
 func TestBestPathErrors(t *testing.T) {
 	g, h := hybridFixture(t)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	if _, err := r.BestPath(Query{Source: 1, Dest: 1, Budget: 100}, Options{}); err == nil {
 		t.Fatal("source == dest accepted")
 	}
@@ -160,7 +160,7 @@ func TestBestPathErrors(t *testing.T) {
 func TestFastestPath(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	p, d, err := r.FastestPath(src, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestFastestPath(t *testing.T) {
 func TestPruningHappens(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	res, err := r.BestPath(Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 1.5,
 	}, Options{Incremental: true})

@@ -36,7 +36,7 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 	if opt.MaxEdges == 0 {
 		opt.MaxEdges = 150
 	}
-	g := r.h.G
+	g := r.ev.H.G
 	if q.Source == q.Dest {
 		return nil, fmt.Errorf("routing: source equals destination")
 	}
@@ -55,11 +55,10 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 	}
 
 	explored := 0
-	memo := r.memo.Load()
-	syn := r.synopsis.Load()
+	qopt := core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}
 	var batch *core.BatchPlanner
 	if opt.BatchWorkers > 1 {
-		batch = core.NewBatchPlanner(r.h, opt.BatchWorkers)
+		batch = core.NewBatchPlanner(opt.BatchWorkers)
 	}
 	visited := make(map[graph.VertexID]bool)
 	visited[q.Source] = true
@@ -73,8 +72,7 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 		sort.Slice(outs, func(i, j int) bool {
 			return lb[g.Edge(outs[i]).To] < lb[g.Edge(outs[j]).To]
 		})
-		bpos, bstates, berrs := frontierBatch(batch, syn, memo, g, lb, visited,
-			state, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}, outs)
+		bpos, bstates, berrs := r.frontierBatch(batch, lb, visited, state, q.Depart, qopt, outs)
 		for _, eid := range outs {
 			e := g.Edge(eid)
 			if visited[e.To] || isInf(lb[e.To]) {
@@ -87,10 +85,8 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 			var err error
 			if i, ok := bpos[eid]; ok {
 				ns, err = bstates[i], berrs[i]
-			} else if state == nil {
-				ns, err = r.h.StartPathWith(syn, memo, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
 			} else {
-				ns, err = r.h.ExtendPathWith(syn, memo, state, eid)
+				ns, err = r.ev.Extend(state, eid, q.Depart, qopt)
 			}
 			if err != nil {
 				return err

@@ -9,7 +9,7 @@ import (
 func TestTopKPaths(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5}
 	res, err := r.TopKPaths(q, 3, Options{Incremental: true})
 	if err != nil {
@@ -43,7 +43,7 @@ func TestTopKPaths(t *testing.T) {
 func TestTopKConsistentWithBestPath(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2}
 	best, err := r.BestPath(q, Options{Incremental: true})
 	if err != nil {
@@ -63,7 +63,7 @@ func TestTopKConsistentWithBestPath(t *testing.T) {
 
 func TestTopKErrors(t *testing.T) {
 	_, h := hybridFixture(t)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	if _, err := r.TopKPaths(Query{Source: 1, Dest: 2, Budget: 100}, 0, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
@@ -75,7 +75,7 @@ func TestTopKErrors(t *testing.T) {
 func TestTopKMethodsRun(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.2}
 	for _, m := range []core.Method{core.MethodOD, core.MethodLB} {
 		if _, err := r.TopKPaths(q, 2, Options{Method: m, Incremental: true}); err != nil {
@@ -87,7 +87,7 @@ func TestTopKMethodsRun(t *testing.T) {
 func TestSkylinePaths(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
+	r := New(&core.Evaluator{H: h})
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5}
 	sky, err := r.SkylinePaths(q, 4, Options{Incremental: true})
 	if err != nil {

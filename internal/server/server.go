@@ -911,13 +911,12 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 	}
 	res, err := func() (*pathcost.SegmentResult, error) {
 		defer s.release() // deferred: a panicking evaluation must not leak the slot
-		return sys.EvaluateSegment(pathcost.SegmentInput{
+		return sys.EvaluateSegment(ctx, pathcost.SegmentInput{
 			Path:   p,
 			Depart: req.Depart,
 			UI:     pathcost.TimeInterval{Lo: req.UILo, Hi: req.UIHi},
 			State:  st,
 			Opt:    pathcost.QueryOptions{Method: m},
-			Ctx:    ctx,
 		})
 	}()
 	if err != nil {

@@ -118,12 +118,12 @@ func DefaultParams() Params { return core.DefaultParams() }
 
 // ModelEpoch is one published model snapshot: a hybrid graph, the
 // trajectory collection backing it (nil when the model was loaded
-// without data), and a router evaluating against exactly this model.
-// The model content is immutable after publish; queries that loaded an
-// epoch keep a consistent view of it even while the next epoch is
-// being built and published. Accelerator attachments (synopsis, memo
-// view, planner) are swappable per epoch via the System's Enable*/
-// Attach* methods.
+// without data), and the evaluator every query against exactly this
+// model runs through. The model content is immutable after publish;
+// queries that loaded an epoch keep a consistent view of it even while
+// the next epoch is being built and published. Accelerator attachments
+// (synopsis, memo view, planner) are swappable per epoch via the
+// System's Enable*/Attach* methods.
 type ModelEpoch struct {
 	// Seq is the monotonically increasing epoch sequence number; it
 	// namespaces every query-cache key, memo key and planner probe so
@@ -132,19 +132,39 @@ type ModelEpoch struct {
 	Seq    uint64
 	Hybrid *core.HybridGraph
 	Data   *Collection
-	Router *routing.Router
 
-	// synopsis is the epoch's offline sub-path synopsis (rebuilt
-	// incrementally at publish); memo is the epoch-scoped view of the
-	// System's shared convolution memo; planner is the batch planner
-	// built over this epoch's hybrid.
-	synopsis atomic.Pointer[core.SynopsisStore]
-	memo     atomic.Pointer[core.ConvMemo]
-	planner  atomic.Pointer[core.BatchPlanner]
+	// ev is the one place the epoch's reuse stores live: Hybrid plus
+	// the epoch's offline synopsis (rebuilt incrementally at publish)
+	// and its view of the System's shared convolution memo.
+	// Distribution queries, batches, routes and shard segments all
+	// load it; attaching or detaching a store swaps in a new evaluator
+	// under the System's pubMu. planner is the epoch's batch planner.
+	ev      atomic.Pointer[core.Evaluator]
+	planner atomic.Pointer[core.BatchPlanner]
+}
+
+// newEpoch builds an epoch evaluating through ev.
+func newEpoch(seq uint64, data *Collection, ev *core.Evaluator) *ModelEpoch {
+	e := &ModelEpoch{Seq: seq, Hybrid: ev.H, Data: data}
+	e.ev.Store(ev)
+	return e
 }
 
 // Synopsis returns the epoch's synopsis store, or nil.
-func (e *ModelEpoch) Synopsis() *core.SynopsisStore { return e.synopsis.Load() }
+func (e *ModelEpoch) Synopsis() *core.SynopsisStore { return e.ev.Load().Syn }
+
+// Router returns a stochastic router evaluating against this epoch's
+// model and stores.
+func (e *ModelEpoch) Router() *routing.Router { return routing.New(e.ev.Load()) }
+
+// attach swaps in an evaluator derived from the current one by edit.
+// Callers hold the System's pubMu, so concurrent attachments never
+// lose an update.
+func (e *ModelEpoch) attach(edit func(*core.Evaluator)) {
+	ev := *e.ev.Load()
+	edit(&ev)
+	e.ev.Store(&ev)
+}
 
 // System bundles a road network, the epoch-versioned trained model
 // (hybrid graph, trajectory collection, router) and the serving
@@ -236,7 +256,7 @@ type System struct {
 // newSystem wraps a trained hybrid as epoch 1 of a fresh System.
 func newSystem(g *Graph, data *Collection, h *core.HybridGraph, params Params) *System {
 	s := &System{Graph: g, Params: params, lastPublish: time.Now()}
-	s.epoch.Store(&ModelEpoch{Seq: 1, Hybrid: h, Data: data, Router: routing.New(h)})
+	s.epoch.Store(newEpoch(1, data, &core.Evaluator{H: h}))
 	return s
 }
 
@@ -262,7 +282,7 @@ func (s *System) Epoch() uint64 { return s.epoch.Load().Seq }
 func (s *System) Hybrid() *core.HybridGraph { return s.epoch.Load().Hybrid }
 
 // Router returns the current epoch's stochastic router.
-func (s *System) Router() *routing.Router { return s.epoch.Load().Router }
+func (s *System) Router() *routing.Router { return s.epoch.Load().Router() }
 
 // Data returns the current epoch's trajectory collection (nil when
 // the model was loaded without data).
@@ -365,17 +385,13 @@ func (s *System) EnableConvMemo(capacity int) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	ep := s.epoch.Load()
-	if capacity <= 0 {
-		s.convMemo.Store(nil)
-		ep.memo.Store(nil)
-		ep.Router.SetMemo(nil)
-		return
+	var m, view *core.ConvMemo
+	if capacity > 0 {
+		m = core.NewConvMemo(capacity)
+		view = m.ForEpoch(ep.Seq)
 	}
-	m := core.NewConvMemo(capacity)
 	s.convMemo.Store(m)
-	view := m.ForEpoch(ep.Seq)
-	ep.memo.Store(view)
-	ep.Router.SetMemo(view)
+	ep.attach(func(ev *core.Evaluator) { ev.Memo = view })
 }
 
 // ConvMemoStats snapshots the convolution memo's hit/miss/eviction
@@ -406,7 +422,7 @@ func (s *System) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig) (*c
 }
 
 // AttachSynopsis installs (or, with nil, removes) a synopsis store on
-// the current epoch, sharing it with the epoch's Router. Safe to call
+// the current epoch's evaluator. Safe to call
 // while queries are in flight: the pointer swaps atomically and
 // running queries finish against whichever store they started with.
 // A later PublishEpoch carries the store forward, incrementally
@@ -414,9 +430,7 @@ func (s *System) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig) (*c
 func (s *System) AttachSynopsis(syn *core.SynopsisStore) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	ep := s.epoch.Load()
-	ep.synopsis.Store(syn)
-	ep.Router.SetSynopsis(syn)
+	s.epoch.Load().attach(func(ev *core.Evaluator) { ev.Syn = syn })
 }
 
 // Synopsis returns the current epoch's synopsis store, or nil.
@@ -463,8 +477,7 @@ func (s *System) EnableBatchPlanner(workers int) {
 	s.planMu.Unlock()
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	ep := s.epoch.Load()
-	ep.planner.Store(core.NewBatchPlanner(ep.Hybrid, workers))
+	s.epoch.Load().planner.Store(core.NewBatchPlanner(workers))
 }
 
 // DisableBatchPlanner removes the planner; PlanDistributions then
@@ -522,7 +535,7 @@ func (s *System) PlanDistributions(ctx context.Context, queries []PlanQuery,
 	bp := ep.planner.Load()
 	installed := bp != nil
 	if !installed {
-		bp = core.NewBatchPlanner(ep.Hybrid, 0)
+		bp = core.NewBatchPlanner(0)
 	}
 	out := make([]PlanResult, len(queries))
 	c := s.qcache.Load()
@@ -556,7 +569,7 @@ func (s *System) PlanDistributions(ctx context.Context, queries []PlanQuery,
 					defer release()
 				}
 			}
-			res, st := bp.Distributions(ctx, ep.Synopsis(), ep.memo.Load(), missQ)
+			res, st := bp.Distributions(ctx, ep.ev.Load(), missQ)
 			stats = st
 			for j, i := range miss {
 				out[i] = res[j]
@@ -673,7 +686,7 @@ var ErrGateRejected = errors.New("pathcost: computation gate rejected the query"
 // ctx bounds both waiting and computing: a caller parked behind a
 // concurrent leader's computation unblocks when ctx ends and gets
 // ctx's error, and a caller that is itself the leader has its
-// evaluation deadline-checked per chain step (see CostDistributionCtx)
+// evaluation deadline-checked per chain step (see Evaluator.Distribution)
 // — an expired budget stops the computation and fills no cache entry.
 // A follower handed the LEADER's context error while its own ctx is
 // still live retries with a new leader, so one short-budget caller
@@ -779,16 +792,8 @@ func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart flo
 	// ctx bounds the evaluation itself (per-edge and per-factor
 	// deadline checks in core), not just the wait: a query whose
 	// budget expires mid-chain stops burning CPU and returns ctx's
-	// error. Background contexts make every check a no-op.
-	if ctx == context.Background() {
-		ctx = nil
-	}
-	syn := ep.Synopsis()
-	mm := ep.memo.Load()
-	if syn != nil || mm != nil {
-		return ep.Hybrid.CostDistributionWithCtx(ctx, syn, mm, p, depart, core.QueryOptions{Method: m})
-	}
-	return ep.Hybrid.CostDistributionCtx(ctx, p, depart, core.QueryOptions{Method: m})
+	// error.
+	return ep.ev.Load().Distribution(ctx, p, depart, core.QueryOptions{Method: m})
 }
 
 // GroundTruth runs the accuracy-optimal baseline (Section 2.2) on the
@@ -805,7 +810,7 @@ func (s *System) GroundTruth(p Path, depart float64) (*Histogram, int, error) {
 // worker pool; the answer is byte-identical either way.
 func (s *System) Route(src, dst VertexID, depart, budget float64, m Method) (*RouteResult, error) {
 	ep := s.epoch.Load()
-	return ep.Router.BestPath(routing.Query{
+	return ep.Router().BestPath(routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
 	}, s.routeOptions(ep, m))
 }
@@ -923,7 +928,7 @@ func LoadSystem(g *Graph, data *Collection, r io.Reader) (*System, error) {
 // paths by probability of arriving within the budget.
 func (s *System) TopKRoutes(src, dst VertexID, depart, budget float64, k int, m Method) ([]routing.TopKResult, error) {
 	ep := s.epoch.Load()
-	return ep.Router.TopKPaths(routing.Query{
+	return ep.Router().TopKPaths(routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
 	}, k, s.routeOptions(ep, m))
 }
@@ -1190,19 +1195,12 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 	}
 
 	seq := ep.Seq + 1
-	router := routing.New(nh)
 	var view *core.ConvMemo
 	if base := s.convMemo.Load(); base != nil {
 		view = base.ForEpoch(seq)
 	}
-	router.SetMemo(view)
-	router.SetSynopsis(syn)
-	nep := &ModelEpoch{Seq: seq, Hybrid: nh, Data: nd, Router: router}
-	nep.synopsis.Store(syn)
-	nep.memo.Store(view)
-	if bp := ep.planner.Load(); bp != nil {
-		nep.planner.Store(core.NewBatchPlanner(nh, bp.Workers()))
-	}
+	nep := newEpoch(seq, nd, &core.Evaluator{H: nh, Syn: syn, Memo: view})
+	nep.planner.Store(ep.planner.Load())
 	s.epoch.Store(nep)
 	s.lastPublish = time.Now()
 

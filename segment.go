@@ -1,6 +1,8 @@
 package pathcost
 
 import (
+	"context"
+
 	"repro/internal/core"
 )
 
@@ -32,7 +34,9 @@ func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 // from the relayed state and never touch the stores. The query cache
 // is bypassed: partial states are intermediate values keyed by relay
 // context, not whole-query answers.
-func (s *System) EvaluateSegment(in SegmentInput) (*SegmentResult, error) {
-	ep := s.epoch.Load()
-	return ep.Hybrid.EvaluateSegment(ep.Synopsis(), ep.memo.Load(), in)
+//
+// ctx bounds the segment's evaluation: the factor chain and edge
+// derivations check its deadline as they go.
+func (s *System) EvaluateSegment(ctx context.Context, in SegmentInput) (*SegmentResult, error) {
+	return s.epoch.Load().ev.Load().EvaluateSegment(ctx, in)
 }
