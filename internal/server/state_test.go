@@ -1,15 +1,124 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	pathcost "repro"
 	"repro/internal/api"
+	"repro/internal/wal"
 )
+
+// fullSystem reloads the shared test model into a fresh System with
+// every optional serving layer on: query cache, convolution memo,
+// synopsis, batch planner and an attached WAL. The wire-surface pins
+// below need every optional block present, and the shared testSystem's
+// layers depend on which other tests ran first.
+func fullSystem(t *testing.T) *pathcost.System {
+	t.Helper()
+	base := testSystem(t)
+	var model bytes.Buffer
+	if err := base.SaveModel(&model); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := pathcost.LoadSystem(base.Graph, base.Data(), &model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.EnableQueryCache(16)
+	sys.EnableConvMemo(16)
+	sys.EnableBatchPlanner(2)
+	wl, err := sys.SyntheticWorkload(32, 4, 3, []float64{8 * 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.BuildSynopsis(wl, pathcost.SynopsisConfig{MaxEntries: 16}); err != nil {
+		t.Fatal(err)
+	}
+	wlog, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wlog.Close() })
+	sys.AttachWAL(wlog)
+	return sys
+}
+
+// jsonKeys lists every key path of a JSON document, objects nested
+// with "." and array elements marked "[]", sorted and deduplicated.
+func jsonKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatalf("decoding %q: %v", data, err)
+	}
+	set := map[string]bool{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, c := range x {
+				set[prefix+k] = true
+				walk(prefix+k+".", c)
+			}
+		case []any:
+			for _, c := range x {
+				walk(strings.TrimSuffix(prefix, ".")+"[].", c)
+			}
+		}
+	}
+	walk("", v)
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// metricNames lists the distinct metric names of a Prometheus text
+// exposition (sample lines, labels stripped), sorted.
+func metricNames(text string) []string {
+	set := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if i := strings.IndexAny(line, "{ "); i >= 0 {
+			line = line[:i]
+		}
+		set[line] = true
+	}
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// getBody GETs url and returns the status and body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading %s: %v", url, err)
+	}
+	return resp.StatusCode, body
+}
 
 // TestStateEndpoint drives the partial-state relay the sharded
 // coordinator runs: a first segment from a point interval, then a
@@ -173,6 +282,39 @@ func TestMetricsEndpoint(t *testing.T) {
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /metrics = %d, want 405", post.StatusCode)
 	}
+
+	// The complete name set, with every optional layer enabled, is the
+	// scrape contract dashboards are built against.
+	full := httptest.NewServer(New(fullSystem(t), Config{EnableIngest: true}).Metrics())
+	defer full.Close()
+	code, fullBody := getBody(t, full.URL)
+	if code != http.StatusOK {
+		t.Fatalf("full metrics = %d", code)
+	}
+	if got := metricNames(string(fullBody)); !reflect.DeepEqual(got, wantMetricNames) {
+		t.Errorf("metric names changed:\n got %q\nwant %q", got, wantMetricNames)
+	}
+}
+
+// wantMetricNames pins the server's /metrics name set.
+var wantMetricNames = []string{
+	"pathcost_conv_memo_hits_total",
+	"pathcost_conv_memo_misses_total",
+	"pathcost_epoch_publishes_total",
+	"pathcost_epoch_seq",
+	"pathcost_epoch_staged_pending",
+	"pathcost_max_in_flight",
+	"pathcost_query_cache_hits_total",
+	"pathcost_query_cache_misses_total",
+	"pathcost_queued",
+	"pathcost_reloads_total",
+	"pathcost_requests_abandoned_total",
+	"pathcost_requests_rejected_total",
+	"pathcost_requests_served_total",
+	"pathcost_requests_shed_total",
+	"pathcost_synopsis_hits_total",
+	"pathcost_synopsis_misses_total",
+	"pathcost_uptime_seconds",
 }
 
 // TestLoadShedding saturates the evaluation gate and its waiter queue,
@@ -265,4 +407,100 @@ func TestStatsIngestGating(t *testing.T) {
 		t.Fatalf("ingest-on stats omit the update pipeline: ingest=%+v epoch=%+v",
 			stats2.Ingest, stats2.Epoch)
 	}
+
+	// Every optional layer on: the full /v1/stats key set is the wire
+	// contract pollers (and the benchmark) decode against.
+	full := httptest.NewServer(New(fullSystem(t), Config{EnableIngest: true, MaxQueue: 4}).Handler())
+	defer full.Close()
+	code, body := getBody(t, full.URL+"/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("full stats = %d", code)
+	}
+	if got := jsonKeys(t, body); !reflect.DeepEqual(got, wantStatsKeys) {
+		t.Errorf("/v1/stats keys changed:\n got %q\nwant %q", got, wantStatsKeys)
+	}
+}
+
+// wantStatsKeys pins the server's /v1/stats key set with every
+// optional block present.
+var wantStatsKeys = []string{
+	"abandoned",
+	"alpha_minutes",
+	"beta",
+	"cache",
+	"cache.capacity",
+	"cache.entries",
+	"cache.evictions",
+	"cache.hit_rate",
+	"cache.hits",
+	"cache.misses",
+	"coverage",
+	"edges",
+	"epoch",
+	"epoch.decay_halflife_s",
+	"epoch.last_build_ms",
+	"epoch.last_decay_factor",
+	"epoch.last_new_vars",
+	"epoch.last_rebuilt_vars",
+	"epoch.last_touched_vars",
+	"epoch.last_trajs",
+	"epoch.publishes",
+	"epoch.seq",
+	"epoch.staged_pending",
+	"epoch.staged_total",
+	"epoch.synopsis_carried",
+	"epoch.synopsis_dropped",
+	"epoch.synopsis_rematerialized",
+	"ingest",
+	"ingest.batches",
+	"ingest.match_failed",
+	"ingest.matched",
+	"ingest.received",
+	"ingest.records",
+	"ingest.rejected",
+	"ingest.staged",
+	"max_in_flight",
+	"max_queue",
+	"memo",
+	"memo.capacity",
+	"memo.entries",
+	"memo.evictions",
+	"memo.hit_rate",
+	"memo.hits",
+	"memo.misses",
+	"planner",
+	"planner.batches",
+	"planner.convolutions",
+	"planner.fallback",
+	"planner.independent_steps",
+	"planner.nodes",
+	"planner.planned",
+	"planner.probe_hits",
+	"planner.queries",
+	"planner.saved_steps",
+	"planner.shared_nodes",
+	"planner.workers",
+	"rejected",
+	"reloads",
+	"served",
+	"shed",
+	"synopsis",
+	"synopsis.bytes",
+	"synopsis.entries",
+	"synopsis.hit_rate",
+	"synopsis.hits",
+	"synopsis.misses",
+	"uptime_s",
+	"variables",
+	"variables_by_rank",
+	"vertices",
+	"wal",
+	"wal.append_errors",
+	"wal.appends",
+	"wal.bytes",
+	"wal.checkpoint",
+	"wal.discarded",
+	"wal.last_seq",
+	"wal.segments",
+	"wal.truncations",
 }

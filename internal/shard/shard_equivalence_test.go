@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -258,7 +262,7 @@ func TestCoordinatorRejectsClientStateKind(t *testing.T) {
 // surface: /v1/stats shard table and the Prometheus scrape.
 func TestCoordinatorStatsAndMetrics(t *testing.T) {
 	sys := testSystem(t)
-	f := startFleet(t, 2, nil)
+	f := startFleet(t, 2, func(c *Config) { c.MaxQueue = 8 })
 	p := crossRegionPath(t, f, sys)
 	if code, _ := postRaw(t, f.coordTS.URL+"/v1/distribution",
 		api.DistributionRequest{Path: edgeIDs(p), Depart: 8 * 3600}); code != http.StatusOK {
@@ -269,6 +273,18 @@ func TestCoordinatorStatsAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The full key set is the wire contract pollers decode against.
+	// The shards serve with ingestion off, so no region reports an
+	// epoch.
+	if got := jsonKeys(t, raw); !reflect.DeepEqual(got, wantCoordStatsKeys) {
+		t.Errorf("coordinator /v1/stats keys changed:\n got %q\nwant %q", got, wantCoordStatsKeys)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
 	var stats struct {
 		K      int `json:"k"`
 		Shards []struct {
@@ -327,6 +343,101 @@ func TestCoordinatorStatsAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	if got := metricNames(buf.String()); !reflect.DeepEqual(got, wantCoordMetricNames) {
+		t.Errorf("coordinator metric names changed:\n got %q\nwant %q", got, wantCoordMetricNames)
+	}
+}
+
+// wantCoordStatsKeys pins the coordinator's /v1/stats key set.
+var wantCoordStatsKeys = []string{
+	"abandoned",
+	"hedges",
+	"k",
+	"max_in_flight",
+	"max_queue",
+	"rejected",
+	"served",
+	"shards",
+	"shards[].healthy",
+	"shards[].region",
+	"shards[].replicas",
+	"shards[].replicas[].base",
+	"shards[].replicas[].breaker_open",
+	"shards[].replicas[].breaker_trips",
+	"shards[].replicas[].call_failures",
+	"shards[].replicas[].calls",
+	"shards[].replicas[].healthy",
+	"shards[].replicas[].probe_failures",
+	"shards[].replicas[].probes",
+	"shed",
+	"uptime_s",
+}
+
+// wantCoordMetricNames pins the coordinator's /metrics name set.
+var wantCoordMetricNames = []string{
+	"pathcost_coordinator_breaker_open",
+	"pathcost_coordinator_hedges_total",
+	"pathcost_coordinator_replica_healthy",
+	"pathcost_coordinator_requests_abandoned_total",
+	"pathcost_coordinator_requests_rejected_total",
+	"pathcost_coordinator_requests_served_total",
+	"pathcost_coordinator_requests_shed_total",
+	"pathcost_coordinator_shard_calls_total",
+	"pathcost_coordinator_shard_healthy",
+	"pathcost_coordinator_uptime_seconds",
+}
+
+// jsonKeys lists every key path of a JSON document, objects nested
+// with "." and array elements marked "[]", sorted and deduplicated.
+func jsonKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatalf("decoding %q: %v", data, err)
+	}
+	set := map[string]bool{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, c := range x {
+				set[prefix+k] = true
+				walk(prefix+k+".", c)
+			}
+		case []any:
+			for _, c := range x {
+				walk(strings.TrimSuffix(prefix, ".")+"[].", c)
+			}
+		}
+	}
+	walk("", v)
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// metricNames lists the distinct metric names of a Prometheus text
+// exposition (sample lines, labels stripped), sorted.
+func metricNames(text string) []string {
+	set := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if i := strings.IndexAny(line, "{ "); i >= 0 {
+			line = line[:i]
+		}
+		set[line] = true
+	}
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestProbeObservesShardDeath exercises probeOnce directly: a live
