@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -124,7 +125,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	st := sys.Stats()
+	st := sys.Stats().Model
 	fmt.Printf("trained in %v: %d vertices, %d edges, %d variables (by rank %v), coverage %.1f%%\n\n",
 		time.Since(start).Round(time.Millisecond),
 		sys.Graph.NumVertices(), sys.Graph.NumEdges(),
@@ -153,15 +154,16 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown command %q (want demo, query, route, net-stats, batch or synopsis)", cmd))
 	}
-	if st, ok := sys.QueryCacheStats(); ok {
+	final := sys.Stats()
+	if st := final.Cache; st != nil {
 		fmt.Printf("\nquery cache: %d/%d entries, %d hits, %d misses (%.0f%% hit rate), %d evictions\n",
 			st.Entries, st.Capacity, st.Hits, st.Misses, st.HitRate()*100, st.Evictions)
 	}
-	if st, ok := sys.ConvMemoStats(); ok {
+	if st := final.Memo; st != nil {
 		fmt.Printf("conv memo: %d/%d prefix states, %d hits, %d misses (%.0f%% hit rate), %d evictions\n",
 			st.Entries, st.Capacity, st.Hits, st.Misses, st.HitRate()*100, st.Evictions)
 	}
-	if st, ok := sys.SynopsisStats(); ok {
+	if st := final.Synopsis; st != nil {
 		fmt.Printf("synopsis: %d entries (%d bytes), %d hits, %d misses (%.0f%% hit rate)\n",
 			st.Entries, st.Bytes, st.Hits, st.Misses, st.HitRate()*100)
 	}
@@ -198,7 +200,7 @@ func runSynopsis(sys *pathcost.System, workload []pathcost.WorkloadQuery, worker
 	if workers < 1 {
 		workers = 1
 	}
-	syn := sys.Synopsis()
+	syn := sys.CurrentEpoch().Synopsis()
 	if hadCache {
 		// The α-interval query cache would serve the warm replay from
 		// the cold replay's results and measure the cache, not the
@@ -255,7 +257,7 @@ func runSynopsis(sys *pathcost.System, workload []pathcost.WorkloadQuery, worker
 			}
 		}
 	}
-	st, _ := sys.SynopsisStats()
+	st := syn.Stats()
 	fmt.Printf("  cold memo:     %v (%.0f queries/s)\n", coldDur.Round(time.Millisecond),
 		float64(len(workload))/coldDur.Seconds())
 	fmt.Printf("  warm synopsis: %v (%.0f queries/s), %.1fx faster\n", warmDur.Round(time.Millisecond),
@@ -462,7 +464,7 @@ func runBatch(sys *pathcost.System, n, card int, depart float64, workers, memoSi
 	// Planned: the whole batch through the prefix trie.
 	sys.EnableBatchPlanner(workers)
 	t0 = time.Now()
-	planned, stats := sys.PlanDistributions(nil, queries, nil, nil)
+	planned, stats := sys.PlanDistributions(context.Background(), queries, nil, nil)
 	planDur := time.Since(t0)
 
 	identical := true

@@ -77,6 +77,7 @@ import (
 	"time"
 
 	pathcost "repro"
+	"repro/internal/api"
 	"repro/internal/netgen"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -97,10 +98,10 @@ type options struct {
 	memoSize    int
 	planWorkers int
 	useSynopsis bool
-	maxInFlight int
-	maxQueue    int
-	drain       time.Duration
-	pprofAddr   string
+	// limits are the admission bounds both serving modes enforce.
+	limits    api.Limits
+	drain     time.Duration
+	pprofAddr string
 
 	enableIngest  bool
 	ingestWorkers int
@@ -109,8 +110,6 @@ type options struct {
 	decayHalflife time.Duration
 	walDir        string
 	walCheckpoint string
-
-	defaultTimeout time.Duration
 
 	// Coordinator mode: serve the API over a fleet of shards instead
 	// of a local model.
@@ -138,8 +137,8 @@ func main() {
 	flag.IntVar(&opt.memoSize, "memo", 4096, "sub-path convolution memo capacity in prefix states (0 = disabled); exact — memoized answers are byte-identical")
 	flag.IntVar(&opt.planWorkers, "plan-workers", runtime.NumCPU(), "batch-planner worker pool: /v1/batch plans its distribution entries as one unit so shared sub-paths are convolved once (0 = planner disabled); exact — planned answers are byte-identical")
 	flag.BoolVar(&opt.useSynopsis, "synopsis", true, "serve the offline sub-path synopsis embedded in -model, when present (false drops it after load)")
-	flag.IntVar(&opt.maxInFlight, "max-inflight", 0, "max concurrently evaluated queries (0 = default)")
-	flag.IntVar(&opt.maxQueue, "max-queue", 0, "load shedding: max requests queued for an evaluation slot before new arrivals get 429 + Retry-After (0 = no shedding)")
+	flag.IntVar(&opt.limits.MaxInFlight, "max-inflight", 0, "max concurrently evaluated queries (0 = default)")
+	flag.IntVar(&opt.limits.MaxQueue, "max-queue", 0, "load shedding: max requests queued for an evaluation slot before new arrivals get 429 + Retry-After (0 = no shedding)")
 	flag.DurationVar(&opt.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout (0 = close immediately)")
 	flag.BoolVar(&opt.coordinator, "coordinator", false, "serve as the sharded-tier coordinator over -shards instead of a local model (requires -network and -partition)")
 	flag.StringVar(&opt.shards, "shards", "", "comma-separated shard base URLs, one per partition region in order; a region may be a pipe-separated replica group, e.g. http://a:8080|http://b:8080 (coordinator mode)")
@@ -149,7 +148,7 @@ func main() {
 	flag.DurationVar(&opt.shardTimeout, "shard-timeout", 10*time.Second, "per-leg shard call timeout (coordinator mode)")
 	flag.IntVar(&opt.breakerThreshold, "breaker-threshold", 0, "consecutive leg failures that open a replica's circuit breaker (0 = 3, negative disables; coordinator mode)")
 	flag.DurationVar(&opt.breakerCooldown, "breaker-cooldown", 0, "how long an open breaker deflects a replica's traffic before a half-open trial (0 = 1s; coordinator mode)")
-	flag.DurationVar(&opt.defaultTimeout, "default-timeout", 0, "end-to-end deadline per query request; expiry answers 504, and clients tighten it per request with the X-Budget-Ms header (0 = unbounded)")
+	flag.DurationVar(&opt.limits.DefaultTimeout, "default-timeout", 0, "end-to-end deadline per query request; expiry answers 504, and clients tighten it per request with the X-Budget-Ms header (0 = unbounded)")
 	flag.BoolVar(&opt.enableIngest, "ingest", false, "enable POST /v1/ingest: raw GPS batches are map-matched and staged for the next epoch publish")
 	flag.IntVar(&opt.ingestWorkers, "ingest-workers", runtime.NumCPU(), "map-matching worker pool per ingest batch")
 	flag.IntVar(&opt.maxIngest, "max-ingest-batch", 0, "max trajectories per /v1/ingest request (0 = default)")
@@ -220,17 +219,15 @@ func run(ctx context.Context, opt options, logger *log.Logger, hup <-chan os.Sig
 		}
 	}
 
-	st := sys.Stats()
+	st := sys.Stats().Model
 	logger.Printf("serving %d vertices / %d edges, %d variables, coverage %.1f%% on %s",
 		sys.Graph.NumVertices(), sys.Graph.NumEdges(), st.TotalVariables(), st.Coverage()*100, opt.addr)
 
 	srv := server.New(sys, server.Config{
-		MaxInFlight:    opt.maxInFlight,
-		MaxQueue:       opt.maxQueue,
+		Limits:         opt.limits,
 		EnableIngest:   opt.enableIngest,
 		IngestWorkers:  opt.ingestWorkers,
 		MaxIngestBatch: opt.maxIngest,
-		DefaultTimeout: opt.defaultTimeout,
 	})
 	if opt.pprofAddr != "" {
 		go servePprof(opt.pprofAddr, logger, srv.Metrics())
@@ -297,14 +294,12 @@ func runCoordinator(ctx context.Context, opt options, logger *log.Logger, onRead
 	}
 	coord, err := shard.New(g, part, shard.Config{
 		Shards:           bases,
-		MaxInFlight:      opt.maxInFlight,
-		MaxQueue:         opt.maxQueue,
+		Limits:           opt.limits,
 		Timeout:          opt.shardTimeout,
 		HedgeAfter:       opt.hedgeAfter,
 		ProbeInterval:    opt.probeInterval,
 		BreakerThreshold: opt.breakerThreshold,
 		BreakerCooldown:  opt.breakerCooldown,
-		DefaultTimeout:   opt.defaultTimeout,
 	})
 	if err != nil {
 		return err
@@ -460,7 +455,7 @@ func buildSystem(opt options, logger *log.Logger) (*pathcost.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st, ok := sys.SynopsisStats(); ok {
+	if st := sys.Stats().Synopsis; st != nil {
 		if opt.useSynopsis {
 			logger.Printf("synopsis loaded: %d pre-materialized sub-paths (%d bytes)", st.Entries, st.Bytes)
 		} else {

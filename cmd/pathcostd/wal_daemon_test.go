@@ -298,7 +298,7 @@ func TestRunSIGHUPRacesIngest(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	est := h.sys.EpochStats()
+	est := h.sys.Stats().Epoch
 	if est.StagedPending != 0 {
 		t.Fatalf("staged_pending %d after drain", est.StagedPending)
 	}

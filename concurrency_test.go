@@ -1,6 +1,7 @@
 package pathcost
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -118,9 +119,9 @@ func TestPathDistributionSingleflightExactlyOnce(t *testing.T) {
 	if n := execs.Load(); n != 1 {
 		t.Fatalf("post-flight query recomputed (%d executions)", n)
 	}
-	st, ok := s.QueryCacheStats()
-	if !ok || st.Hits == 0 {
-		t.Fatalf("expected a cache hit after the flight, stats %+v ok=%v", st, ok)
+	st := s.Stats().Cache
+	if st == nil || st.Hits == 0 {
+		t.Fatalf("expected a cache hit after the flight, stats %+v", st)
 	}
 }
 
@@ -154,7 +155,7 @@ func TestPathDistributionGatedChargesLeadersOnly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.PathDistributionGated(nil, p, depart, OD, acquire, release); err != nil {
+			if _, err := s.PathDistributionGated(context.Background(), p, depart, OD, acquire, release); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -170,7 +171,7 @@ func TestPathDistributionGatedChargesLeadersOnly(t *testing.T) {
 	}
 
 	// Cache hit: the gate must not be touched at all.
-	if _, err := s.PathDistributionGated(nil, p, depart, OD, acquire, release); err != nil {
+	if _, err := s.PathDistributionGated(context.Background(), p, depart, OD, acquire, release); err != nil {
 		t.Fatal(err)
 	}
 	if a := acquires.Load(); a != 1 {
@@ -179,7 +180,7 @@ func TestPathDistributionGatedChargesLeadersOnly(t *testing.T) {
 
 	// A refused gate aborts with ErrGateRejected.
 	p2, depart2 := densePath(t, s)
-	_, err := s.PathDistributionGated(nil, p2, depart2+s.Params.IntervalSeconds(), RD,
+	_, err := s.PathDistributionGated(context.Background(), p2, depart2+s.Params.IntervalSeconds(), RD,
 		func() bool { return false }, func() {})
 	if !errors.Is(err, ErrGateRejected) {
 		t.Fatalf("refused gate returned %v, want ErrGateRejected", err)
@@ -200,7 +201,7 @@ func TestPathDistributionGatedFollowerRetriesInheritedRejection(t *testing.T) {
 	go func() {
 		// Leader: refuses its slot, but only once the follower is
 		// parked — so the rejection is guaranteed to be inherited.
-		_, err := s.PathDistributionGated(nil, p, depart, OD, func() bool {
+		_, err := s.PathDistributionGated(context.Background(), p, depart, OD, func() bool {
 			deadline := time.Now().Add(5 * time.Second)
 			for s.flight.Waiting(key) != 1 && !time.Now().After(deadline) {
 				time.Sleep(time.Millisecond)
@@ -214,7 +215,7 @@ func TestPathDistributionGatedFollowerRetriesInheritedRejection(t *testing.T) {
 		t.FailNow() // main test goroutine: safe to stop here
 	}
 	var ownAcquires atomic.Int32
-	res, err := s.PathDistributionGated(nil, p, depart, OD,
+	res, err := s.PathDistributionGated(context.Background(), p, depart, OD,
 		func() bool { ownAcquires.Add(1); return true }, nil)
 	if err != nil || res == nil {
 		t.Fatalf("follower surfaced inherited rejection: res=%v err=%v", res, err)
@@ -302,7 +303,7 @@ func TestConcurrentQueriesWhileTogglingCache(t *testing.T) {
 		case 2:
 			s.EnableQueryCache(0) // disable
 		}
-		s.QueryCacheStats()
+		s.Stats()
 		time.Sleep(200 * time.Microsecond)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gps"
 )
 
@@ -63,7 +64,7 @@ func TestEpochIncrementalMatchesFullRetrain(t *testing.T) {
 	// Feed the held-out tail in randomly sized batches, in order (the
 	// stream arrives in order; batch boundaries are what vary).
 	rnd := rand.New(rand.NewSource(7))
-	startSeq := sys.Epoch()
+	startSeq := sys.CurrentEpoch().Seq
 	var publishes uint64
 	for len(held) > 0 {
 		n := 1 + rnd.Intn(len(held))
@@ -106,14 +107,14 @@ func TestEpochDecayStaysNormalized(t *testing.T) {
 	sys, held, _, _ := epochBase(t, 103, 1000, 800)
 	sys.SetDecayHalflife(time.Hour)
 
-	before := sys.Hybrid()
+	before := sys.CurrentEpoch().Hybrid
 	if _, err := sys.ApplyDeltas(held); err != nil {
 		t.Fatalf("decay ApplyDeltas: %v", err)
 	}
-	if sys.Hybrid() == before {
+	if sys.CurrentEpoch().Hybrid == before {
 		t.Fatal("decay publish did not produce a new hybrid")
 	}
-	st := sys.EpochStats()
+	st := sys.Stats().Epoch
 	if st.LastDecayFactor <= 0 || st.LastDecayFactor > 1 {
 		t.Fatalf("decay factor %v out of (0, 1]", st.LastDecayFactor)
 	}
@@ -201,8 +202,8 @@ func TestEpochConcurrentQueriesDuringPublish(t *testing.T) {
 	if queries.Load() == 0 {
 		t.Fatal("no queries completed during publishing")
 	}
-	if sys.Epoch() < 2 {
-		t.Fatalf("no epochs published (seq %d)", sys.Epoch())
+	if sys.CurrentEpoch().Seq < 2 {
+		t.Fatalf("no epochs published (seq %d)", sys.CurrentEpoch().Seq)
 	}
 }
 
@@ -298,12 +299,113 @@ func TestStageTrajectoriesRejectsInvalid(t *testing.T) {
 // advance the epoch.
 func TestPublishEpochEmptyNoOp(t *testing.T) {
 	sys, _, _, _ := epochBase(t, 127, 600, 500)
-	seq := sys.Epoch()
+	seq := sys.CurrentEpoch().Seq
 	st, err := sys.PublishEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Seq != seq || sys.Epoch() != seq {
-		t.Fatalf("empty publish moved epoch %d → %d", seq, sys.Epoch())
+	if st.Seq != seq || sys.CurrentEpoch().Seq != seq {
+		t.Fatalf("empty publish moved epoch %d → %d", seq, sys.CurrentEpoch().Seq)
+	}
+}
+
+// TestBuildSynopsisRacesPublish pins BuildSynopsis against a publish
+// already in flight: the store must be built on the model it ends up
+// serving. A publish is held open inside its build (buildProbe) while
+// BuildSynopsis starts; once both finish, every attached entry must
+// byte-equal store-free evaluation on the served epoch. The staged
+// delta traverses the workload's paths, so the two epochs' models
+// differ on entries the synopsis holds.
+func TestBuildSynopsisRacesPublish(t *testing.T) {
+	sys, held, _, _ := epochBase(t, 131, 1200, 700)
+	dense := sys.DensePaths(3, 5)
+	if len(dense) == 0 {
+		t.Skip("no dense paths in workload")
+	}
+	var wl []WorkloadQuery
+	covered := map[EdgeID]bool{}
+	for _, dp := range dense[:min(8, len(dense))] {
+		lo, _ := sys.Params.IntervalBounds(dp.Interval)
+		wl = append(wl, WorkloadQuery{Path: dp.Path, Depart: lo + 1})
+		for _, e := range dp.Path {
+			covered[e] = true
+		}
+	}
+	var delta []*Matched
+	for _, m := range held {
+		for _, e := range m.Path {
+			if covered[e] {
+				delta = append(delta, m)
+				break
+			}
+		}
+	}
+	if len(delta) == 0 {
+		t.Skip("no held-out trajectory crosses the workload")
+	}
+	sys.StageTrajectories(delta)
+	old := sys.CurrentEpoch()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	sys.buildProbe = func() error {
+		close(entered)
+		<-release
+		return nil
+	}
+	published := make(chan error, 1)
+	go func() {
+		_, err := sys.PublishEpoch()
+		published <- err
+	}()
+	<-entered
+	built := make(chan error, 1)
+	go func() {
+		_, err := sys.BuildSynopsis(wl, SynopsisConfig{MaxEntries: 64})
+		built <- err
+	}()
+	// Give an unsynchronized build ample time to read the old model
+	// before the publish swaps in the new one.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if err := <-published; err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+	if err := <-built; err != nil {
+		t.Fatalf("synopsis: %v", err)
+	}
+	sys.buildProbe = nil
+
+	ep := sys.CurrentEpoch()
+	syn := ep.Synopsis()
+	if ep.Seq != old.Seq+1 || syn == nil {
+		t.Fatalf("served epoch %d (was %d), synopsis attached %v", ep.Seq, old.Seq, syn != nil)
+	}
+	ctx := context.Background()
+	opt := syn.Options()
+	served := &core.Evaluator{H: ep.Hybrid}
+	stale := &core.Evaluator{H: old.Hybrid}
+	checked, moved := 0, 0
+	for _, q := range wl {
+		for n := 2; n <= len(q.Path); n++ {
+			p := q.Path[:n]
+			st, ok := syn.Lookup(p, q.Depart, opt)
+			if !ok {
+				continue
+			}
+			want, err := served.State(ctx, p, q.Depart, opt)
+			if err != nil {
+				t.Fatalf("synopsis holds %v, which the served model cannot answer: %v", p, err)
+			}
+			if !identicalPlanHist(st.Dist(), want.Dist()) {
+				t.Fatalf("synopsis entry %v was not built on the served epoch %d", p, ep.Seq)
+			}
+			checked++
+			if before, err := stale.State(ctx, p, q.Depart, opt); err != nil || !identicalPlanHist(before.Dist(), want.Dist()) {
+				moved++
+			}
+		}
+	}
+	if checked == 0 || moved == 0 {
+		t.Fatalf("%d entries checked, %d differ between epochs: the delta does not exercise the race", checked, moved)
 	}
 }

@@ -172,8 +172,8 @@ func TestWALCheckpointGatesTruncation(t *testing.T) {
 	if _, err := sys.PublishEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	if st, _, ok := sys.WALStats(); !ok || st.Checkpoint != 0 {
-		t.Fatalf("publish without a checkpointer moved the WAL checkpoint to %d", st.Checkpoint)
+	if st := sys.Stats().WAL; st == nil || st.Checkpoint != 0 {
+		t.Fatalf("publish without a checkpointer moved the WAL checkpoint: %+v", st)
 	}
 
 	ckptFile := filepath.Join(t.TempDir(), "model.ckpt")
@@ -195,7 +195,7 @@ func TestWALCheckpointGatesTruncation(t *testing.T) {
 	if _, err := sys.PublishEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	st, _, _ := sys.WALStats()
+	st := sys.Stats().WAL
 	if st.Checkpoint != 2 {
 		t.Fatalf("WAL checkpoint = %d after checkpointed publish, want 2", st.Checkpoint)
 	}
@@ -235,7 +235,7 @@ func TestWALFailedCheckpointRetainsRecords(t *testing.T) {
 	if _, err := sys.PublishEpoch(); err != nil {
 		t.Fatalf("publish must survive a failed checkpoint: %v", err)
 	}
-	if st, _, _ := sys.WALStats(); st.Checkpoint != 0 {
+	if st := sys.Stats().WAL; st.Checkpoint != 0 {
 		t.Fatalf("failed checkpoint still truncated through %d", st.Checkpoint)
 	}
 	l.Close()
@@ -272,7 +272,7 @@ func TestStageTrajectoriesWALAppendFailureRejects(t *testing.T) {
 	if acc != 0 || rej != 10 {
 		t.Fatalf("unappendable batch: accepted %d, rejected %d; want 0, 10", acc, rej)
 	}
-	if _, errs, _ := sys.WALStats(); errs != 1 {
+	if errs := sys.Stats().WAL.AppendErrors; errs != 1 {
 		t.Fatalf("AppendErrors = %d, want 1", errs)
 	}
 	if got := sys.StagedCount(); got != 10 {
@@ -355,7 +355,7 @@ func TestPublishRacesStagingConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := sys.EpochStats()
+	st := sys.Stats().Epoch
 	if st.StagedPending != 0 {
 		t.Fatalf("%d trajectories still pending after final publish", st.StagedPending)
 	}

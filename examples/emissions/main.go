@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("hybrid graph over the %s domain: %d variables\n",
-		params.Domain, sys.Stats().TotalVariables())
+		params.Domain, sys.Stats().Model.TotalVariables())
 
 	dense := sys.DensePaths(4, 20)
 	if len(dense) == 0 {

@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := sys.Stats()
+	st := sys.Stats().Model
 	fmt.Printf("trained hybrid graph: %d variables (ranks %v)\n",
 		st.TotalVariables(), st.VariablesByRank)
 

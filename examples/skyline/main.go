@@ -42,7 +42,7 @@ func main() {
 			i+1, r.Prob, len(r.Path), r.Dist.Mean(), r.Dist.Quantile(0.9))
 	}
 
-	sky, err := sys.Router().SkylinePaths(routing.Query{
+	sky, err := sys.CurrentEpoch().Router().SkylinePaths(routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
 	}, 3, routing.Options{Method: pathcost.OD, Incremental: true})
 	if err != nil {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // BenchmarkBatchDistribution measures a prefix-heavy /v1/batch
@@ -16,7 +18,7 @@ import (
 func BenchmarkBatchDistribution(b *testing.B) {
 	sys := testSystem(b)
 	sys.EnableQueryCache(0)
-	srv := New(sys, Config{MaxInFlight: 8})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 8}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

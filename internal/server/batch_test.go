@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // TestBatchSmoke answers a mixed batch — distribution, route, topk
@@ -13,7 +15,7 @@ import (
 func TestBatchSmoke(t *testing.T) {
 	sys := testSystem(t)
 	sys.EnableConvMemo(4096)
-	srv := New(sys, Config{MaxInFlight: 4})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 4}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -115,7 +117,7 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 // TestBatchValidation pins the whole-batch 400 contract.
 func TestBatchValidation(t *testing.T) {
 	sys := testSystem(t)
-	srv := New(sys, Config{MaxBatch: 4})
+	srv := New(sys, Config{Limits: api.Limits{MaxBatch: 4}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -144,7 +146,7 @@ func TestBatchConcurrentClients(t *testing.T) {
 	sys := testSystem(t)
 	sys.EnableQueryCache(128)
 	sys.EnableConvMemo(4096)
-	srv := New(sys, Config{MaxInFlight: 2})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 2}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -85,15 +85,15 @@ func postWithBudget(t *testing.T, url, budget string, body any) (int, string) {
 // each request parks in the admission gate until its deadline fires.
 func TestDefaultTimeoutAnswers504(t *testing.T) {
 	sys := deadlineSystem(t)
-	s := New(sys, Config{MaxInFlight: 1, DefaultTimeout: 40 * time.Millisecond})
+	s := New(sys, Config{Limits: api.Limits{MaxInFlight: 1, DefaultTimeout: 40 * time.Millisecond}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	path, depart := densePath(t, sys)
 	src, dst, budget := routePair(t, sys)
 
-	s.sem <- struct{}{} // saturate the gate: every request below parks
-	defer func() { <-s.sem }()
+	s.Acquire(context.Background()) // saturate the gate: every request below parks
+	defer s.Release()
 
 	cases := []struct {
 		name string
@@ -136,7 +136,7 @@ func TestDefaultTimeoutAnswers504(t *testing.T) {
 // gate with a 504 mapping, before any evaluation work starts.
 func TestExpiredContextRejectedAtAdmission(t *testing.T) {
 	sys := deadlineSystem(t)
-	s := New(sys, Config{MaxInFlight: 4})
+	s := New(sys, Config{Limits: api.Limits{MaxInFlight: 4}})
 
 	path, depart := densePath(t, sys)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -157,7 +157,7 @@ func TestExpiredContextRejectedAtAdmission(t *testing.T) {
 // write nothing.
 func TestBudgetHeaderTightensDeadline(t *testing.T) {
 	sys := deadlineSystem(t)
-	s := New(sys, Config{MaxInFlight: 1})
+	s := New(sys, Config{Limits: api.Limits{MaxInFlight: 1}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -165,12 +165,12 @@ func TestBudgetHeaderTightensDeadline(t *testing.T) {
 	body := distributionRequest{Path: path, Depart: depart}
 
 	// Hold the only evaluation slot so the budgeted request queues.
-	s.sem <- struct{}{}
+	s.Acquire(context.Background())
 	status, msg := postWithBudget(t, ts.URL+"/v1/distribution", "40", body)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("budgeted request behind a full gate: status %d (%s), want 504", status, msg)
 	}
-	<-s.sem
+	s.Release()
 
 	// With the slot free and a generous budget the same request
 	// answers normally — the header codepath must not distort success.
@@ -184,7 +184,7 @@ func TestBudgetHeaderTightensDeadline(t *testing.T) {
 // treated as unlimited.
 func TestBudgetHeaderGarbageRejected(t *testing.T) {
 	sys := testSystem(t)
-	s := New(sys, Config{MaxInFlight: 4})
+	s := New(sys, Config{Limits: api.Limits{MaxInFlight: 4}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -13,12 +13,14 @@
 // docs/API.md is the full request/response reference.
 //
 // The handler is safe for arbitrary client concurrency: query
-// evaluation is bounded by a semaphore (Config.MaxInFlight) so a
-// traffic spike degrades into queueing rather than into unbounded
-// goroutine and memory growth, and the underlying System is swappable
+// evaluation is bounded by the slot gate of the embedded api.Front
+// (Config.MaxInFlight, with MaxQueue shedding) so a traffic spike
+// degrades into queueing rather than into unbounded goroutine and
+// memory growth, and the underlying System is swappable
 // at runtime (Swap) for zero-downtime model reloads. Batch entries
 // evaluate concurrently against one system snapshot, each charged
 // individually under the same semaphore; when the served System has a
 // convolution memo enabled (EnableConvMemo), overlapping entries
-// reuse each other's sub-path convolutions.
+// reuse each other's sub-path convolutions. /v1/stats and the
+// Prometheus handler (Metrics) read one System.Stats() snapshot.
 package server

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	pathcost "repro"
+	"repro/internal/api"
 )
 
 // Native fuzz targets for the HTTP handlers: arbitrary bodies must
@@ -46,7 +47,7 @@ func fuzzServer(t testing.TB) *Server {
 		sys.EnableQueryCache(256)
 		sys.EnableConvMemo(512)
 		sys.EnableBatchPlanner(4)
-		fuzzSrv = New(sys, Config{MaxInFlight: 8, MaxBatch: 16, MaxPathEdges: 64})
+		fuzzSrv = New(sys, Config{Limits: api.Limits{MaxInFlight: 8, MaxBatch: 16, MaxPathEdges: 64}})
 	})
 	if fuzzErr != nil {
 		t.Fatal(fuzzErr)

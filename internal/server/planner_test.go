@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // Server-side contract of the batch planner: /v1/batch plans its
@@ -13,15 +15,11 @@ import (
 // effectiveness reported by /v1/stats.
 
 func TestBatchPlannedMatchesUnplanned(t *testing.T) {
-	sys := testSystem(t)
+	// A planner-less system; no query cache: the unplanned pass would
+	// fill it and the planned pass would be answered before planning.
+	sys := freshSystem(t)
 	sys.EnableConvMemo(4096)
-	// No query cache: the unplanned pass would fill it and the planned
-	// pass would be answered before planning (tests needing the cache
-	// enable their own).
-	sys.EnableQueryCache(0)
-	sys.DisableBatchPlanner()
-	t.Cleanup(sys.DisableBatchPlanner)
-	srv := New(sys, Config{MaxInFlight: 4})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 4}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -88,9 +86,7 @@ func TestBatchPlannedMatchesUnplanned(t *testing.T) {
 }
 
 func TestStatsReportsPlanner(t *testing.T) {
-	sys := testSystem(t)
-	sys.DisableBatchPlanner()
-	t.Cleanup(sys.DisableBatchPlanner)
+	sys := freshSystem(t) // planner-less
 	srv := New(sys, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -17,35 +16,22 @@ import (
 	"repro/internal/cache"
 	"repro/internal/geo"
 	"repro/internal/gps"
-	"repro/internal/graph"
 	"repro/internal/ingest"
 )
 
-// DefaultMaxInFlight bounds concurrently evaluated queries when
-// Config.MaxInFlight is 0. Query evaluation is CPU-bound, so a small
-// multiple of typical core counts is plenty; excess requests queue.
-const DefaultMaxInFlight = 32
-
 // Config tunes a Server.
 type Config struct {
-	// MaxInFlight caps concurrently evaluated queries. Requests
-	// beyond the cap wait for a slot or for the client to give up.
-	// Route and topk requests each hold a slot for their whole
-	// evaluation; distribution requests are charged per underlying
-	// computation, so cache hits and singleflight followers are free.
-	// Batch entries are charged individually under the same cap.
-	// 0 means DefaultMaxInFlight.
-	MaxInFlight int
+	// Limits bound admission and request shape (api.Limits). One
+	// MaxInFlight slot covers one evaluation: route, topk and state
+	// requests each hold a slot for their whole evaluation;
+	// distribution requests are charged per underlying computation, so
+	// cache hits and singleflight followers are free; batch entries are
+	// charged individually, and a planned batch as one computation.
+	// DefaultTimeout bounds /v1/distribution, /v1/route, /v1/topk,
+	// /v1/state and /v1/batch.
+	api.Limits
 	// MaxTopK caps the k accepted by /v1/topk (0 = 32).
 	MaxTopK int
-	// MaxPathEdges caps the path cardinality accepted by
-	// /v1/distribution (0 = 256). Evaluation cost grows with path
-	// length, so an uncapped path would let a few maximal requests
-	// monopolize the MaxInFlight evaluation slots.
-	MaxPathEdges int
-	// MaxBatch caps the number of queries accepted in one /v1/batch
-	// request (0 = 64).
-	MaxBatch int
 	// EnableIngest turns on POST /v1/ingest: raw GPS batches are
 	// map-matched and staged into the served system's epoch delta
 	// buffer (published by the daemon's epoch loop or SIGHUP). When
@@ -57,31 +43,16 @@ type Config struct {
 	// MaxIngestBatch caps the trajectories accepted in one /v1/ingest
 	// request (0 = 1024).
 	MaxIngestBatch int
-	// MaxQueue, when > 0, sheds load: a query arriving while MaxQueue
-	// or more requests are already waiting for an evaluation slot is
-	// answered 429 with Retry-After instead of joining the queue.
-	// Shedding at admission keeps queue depth — and thus worst-case
-	// latency behind the MaxInFlight gate — bounded. 0 disables
-	// shedding (requests queue until the client gives up).
-	MaxQueue int
-	// DefaultTimeout, when > 0, bounds every query request
-	// (/v1/distribution, /v1/route, /v1/topk, /v1/state, /v1/batch)
-	// with a server-imposed deadline: the evaluation context expires
-	// after this long and the request answers 504. A client can
-	// tighten (never widen) the bound per request with the
-	// api.BudgetHeader header. 0 leaves requests unbounded, the
-	// pre-deadline behavior.
-	DefaultTimeout time.Duration
 }
 
 // Server serves one pathcost.System over HTTP. Create with New, mount
 // via Handler. All methods are safe for concurrent use.
 type Server struct {
-	sys   atomic.Pointer[pathcost.System]
-	sem   chan struct{}
-	cfg   Config
-	mux   *http.ServeMux
-	start time.Time
+	// Front admits, bounds, decodes and counts every request.
+	*api.Front
+	sys atomic.Pointer[pathcost.System]
+	cfg Config
+	mux *http.ServeMux
 
 	// pipeline, when ingestion is enabled, map-matches /v1/ingest
 	// batches and stages them into the served system. Rebuilt on Swap
@@ -89,42 +60,25 @@ type Server struct {
 	// cumulative counters restart with the new system).
 	pipeline atomic.Pointer[ingest.Pipeline]
 
-	served    atomic.Uint64 // requests answered 2xx
-	rejected  atomic.Uint64 // requests answered 4xx/5xx
-	abandoned atomic.Uint64 // clients that disconnected while queued for a slot
-	shed      atomic.Uint64 // requests answered 429 by the MaxQueue load shedder
-	reloads   atomic.Uint64 // Swap calls
-	queued    atomic.Int64  // requests currently waiting for an evaluation slot
+	reloads atomic.Uint64 // Swap calls
 }
 
 // New builds a Server around sys.
 func New(sys *pathcost.System, cfg Config) *Server {
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = DefaultMaxInFlight
-	}
 	if cfg.MaxTopK <= 0 {
 		cfg.MaxTopK = 32
-	}
-	if cfg.MaxPathEdges <= 0 {
-		cfg.MaxPathEdges = 256
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
 	}
 	if cfg.MaxIngestBatch <= 0 {
 		cfg.MaxIngestBatch = 1024
 	}
-	s := &Server{
-		sem:   make(chan struct{}, cfg.MaxInFlight),
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-	}
+	front := api.NewFront("server", cfg.Limits)
+	cfg.Limits = front.Limits
+	s := &Server{Front: front, cfg: cfg, mux: http.NewServeMux()}
 	s.sys.Store(sys)
 	if cfg.EnableIngest {
 		s.rebuildPipeline(sys)
 	}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/healthz", s.HandleHealthz)
 	s.mux.HandleFunc("/v1/distribution", s.handleDistribution)
 	s.mux.HandleFunc("/v1/route", s.handleRoute)
 	s.mux.HandleFunc("/v1/topk", s.handleTopK)
@@ -191,11 +145,6 @@ func (s *Server) RunListener(ctx context.Context, ln net.Listener, drain time.Du
 	return ServeListener(ctx, s.mux, ln, drain)
 }
 
-// ServeListener serves handler on ln until ctx is cancelled, then
-// drains with the same contract as RunListener (drain == 0 closes
-// immediately, drain < 0 means the 10-second default). Extracted so
-// the sharded coordinator reuses the exact shutdown behavior for its
-// own handler tree.
 // Connection-hygiene bounds for every listener this package serves
 // (query servers and the sharded coordinator alike). ReadHeaderTimeout
 // caps how long a connection may dribble its request headers — the
@@ -207,6 +156,11 @@ var (
 	ServeIdleTimeout       = 120 * time.Second
 )
 
+// ServeListener serves handler on ln until ctx is cancelled, then
+// drains with the same contract as RunListener (drain == 0 closes
+// immediately, drain < 0 means the 10-second default). Extracted so
+// the sharded coordinator reuses the exact shutdown behavior for its
+// own handler tree.
 func ServeListener(ctx context.Context, handler http.Handler, ln net.Listener, drain time.Duration) error {
 	if drain < 0 {
 		drain = 10 * time.Second
@@ -246,91 +200,6 @@ func ServeListener(ctx context.Context, handler http.Handler, ln net.Listener, d
 	}
 }
 
-// acquire takes a query-evaluation slot, giving up when the caller's
-// context ends first. It reports whether the slot was obtained; the
-// caller must release() exactly once when it was. Batch entries pass
-// their request's context, so one disconnected batch client frees
-// every slot its entries were waiting for.
-func (s *Server) acquire(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		// Already-dead client: don't let select's random choice burn
-		// a slot on an evaluation nobody will receive.
-		s.abandoned.Add(1)
-		return false
-	}
-	select {
-	case s.sem <- struct{}{}:
-		// Free slot: never counts toward queue depth, so an idle
-		// server cannot shed.
-		return true
-	default:
-	}
-	s.queued.Add(1)
-	defer s.queued.Add(-1)
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		// Nothing will be written for this request; count it so
-		// /v1/stats still shows traffic shed under saturation.
-		s.abandoned.Add(1)
-		return false
-	}
-}
-
-func (s *Server) release() { <-s.sem }
-
-// shedIfOverloaded implements Config.MaxQueue admission control: when
-// the slot queue is already at its bound, answer 429 + Retry-After now
-// rather than stacking another waiter behind the MaxInFlight gate.
-// Checked at handler entry, before the body is even parsed — a shed
-// request should cost close to nothing. Distinct from the 503 a gate
-// rejection maps to: 429 means "healthy but full, back off", and the
-// coordinator's hedging treats it as advisory, not as shard failure.
-func (s *Server) shedIfOverloaded(w http.ResponseWriter) bool {
-	if s.cfg.MaxQueue <= 0 || s.queued.Load() < int64(s.cfg.MaxQueue) {
-		return false
-	}
-	s.shed.Add(1)
-	w.Header().Set("Retry-After", "1")
-	s.writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
-	return true
-}
-
-// requestContext derives the evaluation context for one query
-// request: the tighter of Config.DefaultTimeout and the caller's
-// api.BudgetHeader header, layered on the request's own context so a
-// client disconnect still cancels immediately. ok = false means the
-// header was garbage and a 400 was already written. The returned
-// cancel must always be called.
-func (s *Server) requestContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	budget, hasBudget, err := api.ParseBudget(r.Header.Get(api.BudgetHeader))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return nil, nil, false
-	}
-	timeout := s.cfg.DefaultTimeout
-	if hasBudget && (timeout <= 0 || budget < timeout) {
-		timeout = budget
-	}
-	if timeout <= 0 {
-		return r.Context(), func() {}, true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return ctx, cancel, true
-}
-
-// timeoutOutcome maps an evaluation that died with its context to the
-// right answer: a server-imposed (or header-requested) deadline is a
-// real outcome the client is still waiting to hear — 504; a vanished
-// client gets nothing (status 0).
-func (s *Server) timeoutOutcome(ctx context.Context) (int, string) {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout, "deadline exceeded"
-	}
-	return 0, ""
-}
-
 // --- JSON shapes -----------------------------------------------------
 //
 // The request/response shapes live in internal/api so the sharded
@@ -339,7 +208,6 @@ func (s *Server) timeoutOutcome(ctx context.Context) (int, string) {
 
 type (
 	errorResponse        = api.Error
-	bucketJSON           = api.Bucket
 	distributionRequest  = api.DistributionRequest
 	distributionResponse = api.DistributionResponse
 	routeRequest         = api.RouteRequest
@@ -503,84 +371,39 @@ type walStatsJSON struct {
 	AppendErrors uint64 `json:"append_errors"`
 }
 
-// --- validation helpers ----------------------------------------------
-//
-// Shared with the coordinator via internal/api so both tiers reject
-// malformed requests with identical messages.
-
-// parseMethod validates the method name; empty selects OD.
-func parseMethod(name string) (pathcost.Method, error) { return api.ParseMethod(name) }
-
-// parsePath validates the edge sequence against the served graph.
-func parsePath(g *pathcost.Graph, ids []int64, maxEdges int) (pathcost.Path, error) {
-	return api.ParsePath(g, ids, maxEdges)
-}
-
-func checkVertex(g *pathcost.Graph, name string, v int64) error {
-	return api.CheckVertex(g, name, v)
-}
-
-func checkDepart(depart float64) error { return api.CheckDepart(depart) }
-
 // --- handlers ---------------------------------------------------------
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	s.writeJSONUncounted(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
 	var req distributionRequest
-	if !s.readRequest(w, r, &req) {
-		return
-	}
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.Begin(w, r, &req)
 	if !ok {
 		return
 	}
 	defer cancel()
 	resp, status, msg := s.evalDistribution(ctx, s.System(), &req)
-	s.writeOutcome(w, status, msg, resp)
+	s.WriteOutcome(w, status, msg, resp)
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
 	var req routeRequest
-	if !s.readRequest(w, r, &req) {
-		return
-	}
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.Begin(w, r, &req)
 	if !ok {
 		return
 	}
 	defer cancel()
 	resp, status, msg := s.evalRoute(ctx, s.System(), &req)
-	s.writeOutcome(w, status, msg, resp)
+	s.WriteOutcome(w, status, msg, resp)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
 	var req topkRequest
-	if !s.readRequest(w, r, &req) {
-		return
-	}
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.Begin(w, r, &req)
 	if !ok {
 		return
 	}
 	defer cancel()
 	resp, status, msg := s.evalTopK(ctx, s.System(), &req)
-	s.writeOutcome(w, status, msg, resp)
+	s.WriteOutcome(w, status, msg, resp)
 }
 
 // handleState serves POST /v1/state: one segment of a partitioned
@@ -589,20 +412,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // expected callers — but it is stateless and safe to expose alongside
 // the query endpoints.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
 	var req stateRequest
-	if !s.readRequest(w, r, &req) {
-		return
-	}
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.Begin(w, r, &req)
 	if !ok {
 		return
 	}
 	defer cancel()
 	resp, status, msg := s.evalState(ctx, s.System(), &req)
-	s.writeOutcome(w, status, msg, resp)
+	s.WriteOutcome(w, status, msg, resp)
 }
 
 // handleBatch answers N queries in one request, against one system
@@ -617,31 +434,25 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 // codes carry what each query would have received standalone, planned
 // or not.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
 	var req batchRequest
-	if !s.readRequest(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		s.writeError(w, http.StatusBadRequest, "batch must contain at least one query")
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), s.cfg.MaxBatch))
-		return
-	}
-	sys := s.System()
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.Begin(w, r, &req)
 	if !ok {
 		return
 	}
 	defer cancel()
+	if len(req.Queries) == 0 {
+		s.WriteError(w, http.StatusBadRequest, "batch must contain at least one query")
+		return
+	}
+	if len(req.Queries) > s.cfg.MaxBatch {
+		s.WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), s.cfg.MaxBatch))
+		return
+	}
+	sys := s.System()
 	results := make([]batchResult, len(req.Queries))
 	var handled []bool
-	if sys.Planner() != nil {
+	if sys.CurrentEpoch().Planner() != nil {
 		handled = s.planBatchDistributions(ctx, sys, req.Queries, results)
 	}
 	var wg sync.WaitGroup
@@ -662,7 +473,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// An expired server deadline is different from a vanished client:
 	// the caller is still listening, and every entry the deadline
 	// caught already carries its own 504.
-	s.writeJSON(w, http.StatusOK, batchResponse{Results: results})
+	s.WriteJSON(w, http.StatusOK, batchResponse{Results: results})
 }
 
 // planBatchDistributions answers every distribution-kind entry of a
@@ -705,7 +516,7 @@ func (s *Server) planBatchDistributions(ctx context.Context, sys *pathcost.Syste
 	// One gate slot covers the whole planned evaluation: the plan is
 	// one CPU-bound computation, however many entries it answers.
 	res, _ := sys.PlanDistributions(ctx, plan,
-		func() bool { return s.acquire(ctx) }, s.release)
+		func() bool { return s.Acquire(ctx) }, s.Release)
 	for j, i := range idx {
 		if err := res[j].Err; err != nil {
 			results[i].Status, results[i].Error = s.queryErrorStatus(ctx, err)
@@ -761,18 +572,18 @@ func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *ba
 // checkDistribution validates one distribution request; a non-nil
 // error means a 400 with the error's message.
 func (s *Server) checkDistribution(sys *pathcost.System, req *distributionRequest) (pathcost.Method, pathcost.Path, error) {
-	m, err := parseMethod(req.Method)
+	m, err := api.ParseMethod(req.Method)
 	if err != nil {
 		return "", nil, err
 	}
-	if err := checkDepart(req.Depart); err != nil {
+	if err := api.CheckDepart(req.Depart); err != nil {
 		return "", nil, err
 	}
 	if req.Budget < 0 {
 		return "", nil,
 			fmt.Errorf("budget %v must be ≥ 0 seconds (0 or omitted skips prob_within)", req.Budget)
 	}
-	p, err := parsePath(sys.Graph, req.Path, s.cfg.MaxPathEdges)
+	p, err := api.ParsePath(sys.Graph, req.Path, s.cfg.MaxPathEdges)
 	if err != nil {
 		return "", nil, err
 	}
@@ -806,7 +617,7 @@ func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req
 	// caller's context unparks this evaluation if its client
 	// disconnects while waiting behind another request's computation.
 	res, err := sys.PathDistributionGated(ctx, p, req.Depart, m,
-		func() bool { return s.acquire(ctx) }, s.release)
+		func() bool { return s.Acquire(ctx) }, s.Release)
 	if err != nil {
 		status, msg := s.queryErrorStatus(ctx, err)
 		return nil, status, msg
@@ -817,15 +628,15 @@ func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req
 // evalRoute validates and answers one budget-routing query; the
 // status contract matches evalDistribution.
 func (s *Server) evalRoute(ctx context.Context, sys *pathcost.System, req *routeRequest) (*routeResponse, int, string) {
-	m, err := checkRouteRequest(sys.Graph, req)
+	m, err := api.CheckRoute(sys.Graph, req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
-	if !s.acquire(ctx) {
-		status, msg := s.timeoutOutcome(ctx)
+	if !s.Acquire(ctx) {
+		status, msg := api.DeadlineOutcome(ctx)
 		return nil, status, msg
 	}
-	defer s.release() // deferred: a panicking evaluation must not leak the slot
+	defer s.Release() // deferred: a panicking evaluation must not leak the slot
 	res, err := sys.Route(pathcost.VertexID(req.Source), pathcost.VertexID(req.Dest),
 		req.Depart, req.Budget, m)
 	if err != nil {
@@ -833,7 +644,7 @@ func (s *Server) evalRoute(ctx context.Context, sys *pathcost.System, req *route
 		return nil, status, msg
 	}
 	return &routeResponse{
-		Path:     edgeIDs(res.Path),
+		Path:     api.EdgeIDs(res.Path),
 		Prob:     res.Prob,
 		MeanS:    res.Dist.Mean(),
 		Explored: res.Explored,
@@ -845,7 +656,7 @@ func (s *Server) evalRoute(ctx context.Context, sys *pathcost.System, req *route
 // evalTopK validates and answers one top-k query; the status contract
 // matches evalDistribution.
 func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRequest) (*topkResponse, int, string) {
-	m, err := checkRouteRequest(sys.Graph, &req.RouteRequest)
+	m, err := api.CheckRoute(sys.Graph, &req.RouteRequest)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
@@ -853,11 +664,11 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 		return nil, http.StatusBadRequest,
 			fmt.Sprintf("k = %d out of range [1, %d]", req.K, s.cfg.MaxTopK)
 	}
-	if !s.acquire(ctx) {
-		status, msg := s.timeoutOutcome(ctx)
+	if !s.Acquire(ctx) {
+		status, msg := api.DeadlineOutcome(ctx)
 		return nil, status, msg
 	}
-	defer s.release() // deferred: a panicking evaluation must not leak the slot
+	defer s.Release() // deferred: a panicking evaluation must not leak the slot
 	res, err := sys.TopKRoutes(pathcost.VertexID(req.Source), pathcost.VertexID(req.Dest),
 		req.Depart, req.Budget, req.K, m)
 	if err != nil {
@@ -867,7 +678,7 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 	out := &topkResponse{Routes: make([]topkEntry, 0, len(res))}
 	for _, r := range res {
 		out.Routes = append(out.Routes, topkEntry{
-			Path: edgeIDs(r.Path), Prob: r.Prob, MeanS: r.Dist.Mean(),
+			Path: api.EdgeIDs(r.Path), Prob: r.Prob, MeanS: r.Dist.Mean(),
 		})
 	}
 	return out, http.StatusOK, ""
@@ -879,7 +690,7 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 // Segment evaluation is CPU-bound like any query, so it is charged one
 // MaxInFlight slot.
 func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *stateRequest) (*stateResult, int, string) {
-	m, err := parseMethod(req.Method)
+	m, err := api.ParseMethod(req.Method)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
@@ -887,14 +698,14 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 		return nil, http.StatusBadRequest,
 			"method RD draws one random decomposition over the whole query; it cannot be evaluated segment by segment"
 	}
-	if err := checkDepart(req.Depart); err != nil {
+	if err := api.CheckDepart(req.Depart); err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
 	if req.UIHi < req.UILo {
 		return nil, http.StatusBadRequest,
 			fmt.Sprintf("inverted departure interval [%g, %g]", req.UILo, req.UIHi)
 	}
-	p, err := parsePath(sys.Graph, req.Path, s.cfg.MaxPathEdges)
+	p, err := api.ParsePath(sys.Graph, req.Path, s.cfg.MaxPathEdges)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
@@ -905,12 +716,12 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 			return nil, http.StatusBadRequest, err.Error()
 		}
 	}
-	if !s.acquire(ctx) {
-		status, msg := s.timeoutOutcome(ctx)
+	if !s.Acquire(ctx) {
+		status, msg := api.DeadlineOutcome(ctx)
 		return nil, status, msg
 	}
 	res, err := func() (*pathcost.SegmentResult, error) {
-		defer s.release() // deferred: a panicking evaluation must not leak the slot
+		defer s.Release() // deferred: a panicking evaluation must not leak the slot
 		return sys.EvaluateSegment(ctx, pathcost.SegmentInput{
 			Path:   p,
 			Depart: req.Depart,
@@ -945,21 +756,21 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	p := s.pipeline.Load()
 	if p == nil {
-		s.writeError(w, http.StatusNotFound, "ingestion is disabled on this server")
+		s.WriteError(w, http.StatusNotFound, "ingestion is disabled on this server")
 		return
 	}
 	var req ingestRequest
 	// Raw GPS batches are bulkier than queries: a trace is hundreds of
-	// fixes, so the body cap is 16 MiB instead of readRequest's 1 MiB.
-	if !s.readRequestSized(w, r, &req, 16<<20) {
+	// fixes, so the body cap is 16 MiB instead of the 1 MiB query cap.
+	if !s.Decode(w, r, &req, 16<<20) {
 		return
 	}
 	if len(req.Trajectories) == 0 {
-		s.writeError(w, http.StatusBadRequest, "batch must contain at least one trajectory")
+		s.WriteError(w, http.StatusBadRequest, "batch must contain at least one trajectory")
 		return
 	}
 	if len(req.Trajectories) > s.cfg.MaxIngestBatch {
-		s.writeError(w, http.StatusBadRequest,
+		s.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch has %d trajectories, cap is %d", len(req.Trajectories), s.cfg.MaxIngestBatch))
 		return
 	}
@@ -971,70 +782,59 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		raw[i] = tr
 	}
-	ctx := r.Context()
-	if !s.acquire(ctx) {
+	if !s.Acquire(r.Context()) {
 		return
 	}
 	st := func() ingest.BatchStats {
-		defer s.release() // deferred: a panicking match must not leak the slot
+		defer s.Release() // deferred: a panicking match must not leak the slot
 		return p.IngestRaw(raw)
 	}()
 	sys := s.System()
-	est := sys.EpochStats()
-	s.writeJSON(w, http.StatusOK, ingestResponse{
+	s.WriteJSON(w, http.StatusOK, ingestResponse{
 		Received:      st.Received,
 		Matched:       st.Matched,
 		MatchFailed:   st.MatchFailed,
 		Staged:        st.Staged,
 		Rejected:      st.Rejected,
-		StagedPending: est.StagedPending,
-		Epoch:         est.Seq,
+		StagedPending: sys.StagedCount(),
+		Epoch:         sys.CurrentEpoch().Seq,
 	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		s.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	sys := s.System()
 	st := sys.Stats()
+	fc := s.Counters()
 	resp := statsResponse{
 		Vertices:        sys.Graph.NumVertices(),
 		Edges:           sys.Graph.NumEdges(),
-		Variables:       st.TotalVariables(),
-		VariablesByRank: st.VariablesByRank,
-		Coverage:        st.Coverage(),
+		Variables:       st.Model.TotalVariables(),
+		VariablesByRank: st.Model.VariablesByRank,
+		Coverage:        st.Model.Coverage(),
 		AlphaMinutes:    sys.Params.AlphaMinutes,
 		Beta:            sys.Params.Beta,
-		UptimeS:         time.Since(s.start).Seconds(),
-		Served:          s.served.Load(),
-		Rejected:        s.rejected.Load(),
-		Abandoned:       s.abandoned.Load(),
-		Shed:            s.shed.Load(),
+		UptimeS:         s.Uptime().Seconds(),
+		Served:          fc.Served,
+		Rejected:        fc.Rejected,
+		Abandoned:       fc.Abandoned,
+		Shed:            fc.Shed,
 		Reloads:         s.reloads.Load(),
 		MaxInFlight:     s.cfg.MaxInFlight,
 		MaxQueue:        s.cfg.MaxQueue,
+		Cache:           cacheJSON(st.Cache),
+		Memo:            cacheJSON(st.Memo),
 	}
-	if cst, ok := sys.QueryCacheStats(); ok {
-		resp.Cache = &cacheStatsJSON{
-			Hits: cst.Hits, Misses: cst.Misses, Evictions: cst.Evictions,
-			Entries: cst.Entries, Capacity: cst.Capacity, HitRate: cst.HitRate(),
-		}
-	}
-	if mst, ok := sys.ConvMemoStats(); ok {
-		resp.Memo = &cacheStatsJSON{
-			Hits: mst.Hits, Misses: mst.Misses, Evictions: mst.Evictions,
-			Entries: mst.Entries, Capacity: mst.Capacity, HitRate: mst.HitRate(),
-		}
-	}
-	if sst, ok := sys.SynopsisStats(); ok {
+	if sst := st.Synopsis; sst != nil {
 		resp.Synopsis = &synopsisStatsJSON{
 			Entries: sst.Entries, Bytes: sst.Bytes,
 			Hits: sst.Hits, Misses: sst.Misses, HitRate: sst.HitRate(),
 		}
 	}
-	if pst, ok := sys.PlannerStats(); ok {
+	if pst := st.Planner; pst != nil {
 		resp.Planner = &plannerStatsJSON{
 			Workers: pst.Workers, Batches: pst.Batches,
 			Queries: pst.Queries, Planned: pst.Planned, Fallback: pst.Fallback,
@@ -1057,15 +857,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Staged: ist.Staged, Rejected: ist.Rejected,
 			}
 		}
-		est := sys.EpochStats()
-		if wst, werrs, ok := sys.WALStats(); ok {
+		if wst := st.WAL; wst != nil {
 			resp.WAL = &walStatsJSON{
 				LastSeq: wst.LastSeq, Checkpoint: wst.Checkpoint,
 				Segments: wst.Segments, Bytes: wst.Bytes,
 				Appends: wst.Appends, Truncations: wst.Truncations,
-				Discarded: wst.Discarded, AppendErrors: werrs,
+				Discarded: wst.Discarded, AppendErrors: wst.AppendErrors,
 			}
 		}
+		est := st.Epoch
 		resp.Epoch = &epochStatsJSON{
 			Seq:                    est.Seq,
 			Publishes:              est.Publishes,
@@ -1083,49 +883,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SynopsisDropped:        est.SynopsisDropped,
 		}
 	}
-	s.writeJSONUncounted(w, http.StatusOK, resp)
+	s.WriteJSONUncounted(w, http.StatusOK, resp)
 }
 
-// checkRouteRequest shares the routing-request checks between
-// /v1/route, /v1/topk and their batch twins; a non-nil error means a
-// 400 with the error's message.
-func checkRouteRequest(g *pathcost.Graph, req *routeRequest) (pathcost.Method, error) {
-	return api.CheckRoute(g, req)
-}
-
-// readRequest decodes a JSON POST body, rejecting anything else.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
-	return s.readRequestSized(w, r, dst, 1<<20)
-}
-
-// readRequestSized is readRequest with an explicit body cap, for the
-// bulk endpoints.
-func (s *Server) readRequestSized(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64) bool {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
-		return false
+// cacheJSON shapes a query-cache or memo block; nil while that layer
+// is off.
+func cacheJSON(cs *pathcost.CacheStats) *cacheStatsJSON {
+	if cs == nil {
+		return nil
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return false
+	return &cacheStatsJSON{
+		Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
+		Entries: cs.Entries, Capacity: cs.Capacity, HitRate: cs.HitRate(),
 	}
-	return true
-}
-
-// writeJSON answers a query and counts it toward served; probe-style
-// endpoints (/healthz, /v1/stats) use writeJSONUncounted so liveness
-// checks and metric pollers don't inflate the query-throughput stat.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	s.writeJSONUncounted(w, code, v)
-	s.served.Add(1)
-}
-
-func (s *Server) writeJSONUncounted(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // queryErrorStatus maps an evaluation failure to the right status: a
@@ -1141,15 +911,15 @@ func (s *Server) writeJSONUncounted(w http.ResponseWriter, code int, v any) {
 func (s *Server) queryErrorStatus(ctx context.Context, err error) (int, string) {
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if status, msg := s.timeoutOutcome(ctx); status != 0 {
+		if status, msg := api.DeadlineOutcome(ctx); status != 0 {
 			return status, msg
 		}
 		// A follower unparked by its own dead caller context; the
 		// semaphore was never touched, so account the shed load here.
-		s.abandoned.Add(1)
+		s.Abandon()
 		return 0, ""
 	case errors.Is(err, pathcost.ErrGateRejected):
-		if status, msg := s.timeoutOutcome(ctx); status != 0 {
+		if status, msg := api.DeadlineOutcome(ctx); status != 0 {
 			return status, msg
 		}
 		if ctx.Err() != nil {
@@ -1162,25 +932,3 @@ func (s *Server) queryErrorStatus(ctx context.Context, err error) (int, string) 
 		return http.StatusUnprocessableEntity, err.Error()
 	}
 }
-
-// writeOutcome writes an eval helper's result: status 0 writes
-// nothing (the client is gone), 200 writes the response body, and
-// anything else writes the error envelope.
-func (s *Server) writeOutcome(w http.ResponseWriter, status int, msg string, resp any) {
-	switch {
-	case status == 0:
-	case status == http.StatusOK:
-		s.writeJSON(w, status, resp)
-	default:
-		s.writeError(w, status, msg)
-	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg})
-	s.rejected.Add(1)
-}
-
-func edgeIDs(p graph.Path) []int64 { return api.EdgeIDs(p) }

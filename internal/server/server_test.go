@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	pathcost "repro"
+	"repro/internal/api"
 	"repro/internal/graph"
 )
 
@@ -35,6 +36,23 @@ func testSystem(t testing.TB) *pathcost.System {
 		t.Fatal(sysErr)
 	}
 	return sysInst
+}
+
+// freshSystem reloads the shared test model into a new System with
+// no serving layer enabled, for tests that need a layer off or must
+// not disturb the shared system's configuration.
+func freshSystem(t testing.TB) *pathcost.System {
+	t.Helper()
+	base := testSystem(t)
+	var model bytes.Buffer
+	if err := base.SaveModel(&model); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := pathcost.LoadSystem(base.Graph, base.Data(), &model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 // densePath returns a trajectory-backed path and an in-interval
@@ -126,7 +144,7 @@ func getJSON(t *testing.T, url string, out any) int {
 func TestServerSmoke(t *testing.T) {
 	sys := testSystem(t)
 	sys.EnableQueryCache(256)
-	srv := New(sys, Config{MaxInFlight: 4})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 4}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -314,7 +332,7 @@ func TestServerSwap(t *testing.T) {
 func TestServerConcurrentRequests(t *testing.T) {
 	sys := testSystem(t)
 	sys.EnableQueryCache(64)
-	srv := New(sys, Config{MaxInFlight: 2})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 2}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

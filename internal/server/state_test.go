@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -17,22 +17,14 @@ import (
 	"repro/internal/wal"
 )
 
-// fullSystem reloads the shared test model into a fresh System with
-// every optional serving layer on: query cache, convolution memo,
-// synopsis, batch planner and an attached WAL. The wire-surface pins
-// below need every optional block present, and the shared testSystem's
-// layers depend on which other tests ran first.
+// fullSystem is a fresh copy of the shared test model with every
+// optional serving layer on: query cache, convolution memo, synopsis,
+// batch planner and an attached WAL. The wire-surface pins below need
+// every optional block present, and the shared testSystem's layers
+// depend on which other tests ran first.
 func fullSystem(t *testing.T) *pathcost.System {
 	t.Helper()
-	base := testSystem(t)
-	var model bytes.Buffer
-	if err := base.SaveModel(&model); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := pathcost.LoadSystem(base.Graph, base.Data(), &model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := freshSystem(t)
 	sys.EnableQueryCache(16)
 	sys.EnableConvMemo(16)
 	sys.EnableBatchPlanner(2)
@@ -125,7 +117,7 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // continuation seeded with the returned (state, UI).
 func TestStateEndpoint(t *testing.T) {
 	sys := testSystem(t)
-	srv := New(sys, Config{MaxInFlight: 4})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 4}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -183,7 +175,7 @@ func TestStateEndpoint(t *testing.T) {
 
 func TestStateEndpointRejections(t *testing.T) {
 	sys := testSystem(t)
-	srv := New(sys, Config{MaxInFlight: 4})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 4}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -231,7 +223,7 @@ func TestStateEndpointRejections(t *testing.T) {
 // on the pprof listener.
 func TestMetricsEndpoint(t *testing.T) {
 	sys := testSystem(t)
-	srv := New(sys, Config{MaxInFlight: 4})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 4}})
 	apiSrv := httptest.NewServer(srv.Handler())
 	defer apiSrv.Close()
 	metrics := httptest.NewServer(srv.Metrics())
@@ -322,7 +314,7 @@ var wantMetricNames = []string{
 // of queuing behind them.
 func TestLoadShedding(t *testing.T) {
 	sys := testSystem(t)
-	srv := New(sys, Config{MaxInFlight: 1, MaxQueue: 1})
+	srv := New(sys, Config{Limits: api.Limits{MaxInFlight: 1, MaxQueue: 1}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -334,13 +326,13 @@ func TestLoadShedding(t *testing.T) {
 
 	// Occupy the only evaluation slot directly, then park one request
 	// as the queue's only permitted waiter.
-	srv.sem <- struct{}{}
+	srv.Acquire(context.Background())
 	waiter := make(chan int, 1)
 	go func() {
 		waiter <- postJSON(t, ts.URL+"/v1/route", req, nil)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.queued.Load() == 0 {
+	for srv.Counters().Queued == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no request queued behind the held slot")
 		}
@@ -363,11 +355,11 @@ func TestLoadShedding(t *testing.T) {
 
 	// Release the slot: the parked waiter must still complete normally —
 	// shedding rejects new arrivals, never queued ones.
-	<-srv.sem
+	srv.Release()
 	if code := <-waiter; code != http.StatusOK {
 		t.Fatalf("queued request = %d after slot release, want 200", code)
 	}
-	if got := srv.shed.Load(); got != 1 {
+	if got := srv.Counters().Shed; got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
 
@@ -410,7 +402,7 @@ func TestStatsIngestGating(t *testing.T) {
 
 	// Every optional layer on: the full /v1/stats key set is the wire
 	// contract pollers (and the benchmark) decode against.
-	full := httptest.NewServer(New(fullSystem(t), Config{EnableIngest: true, MaxQueue: 4}).Handler())
+	full := httptest.NewServer(New(fullSystem(t), Config{EnableIngest: true, Limits: api.Limits{MaxQueue: 4}}).Handler())
 	defer full.Close()
 	code, body := getBody(t, full.URL+"/v1/stats")
 	if code != http.StatusOK {

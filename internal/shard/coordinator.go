@@ -29,18 +29,13 @@ type Config struct {
 	// replicas, and retry/hedge legs prefer a sibling replica, so one
 	// replica dying degrades nothing.
 	Shards []string
-	// MaxInFlight caps concurrently composed client requests (0 =
-	// server.DefaultMaxInFlight). One slot covers a request's whole
-	// composition, however many shard calls it fans out to — the
-	// coordinator's own work is I/O, not evaluation.
-	MaxInFlight int
-	// MaxQueue, when > 0, sheds: a request arriving with MaxQueue
-	// waiters already queued is answered 429 + Retry-After.
-	MaxQueue int
-	// MaxPathEdges caps distribution path cardinality (0 = 256).
-	MaxPathEdges int
-	// MaxBatch caps /v1/batch entries (0 = 64).
-	MaxBatch int
+	// Limits bound admission and request shape (api.Limits). One
+	// MaxInFlight slot covers a request's whole composition, however
+	// many shard calls it fans out to — the coordinator's own work is
+	// I/O, not evaluation. The remaining DefaultTimeout budget is
+	// forwarded to every shard leg as the api.BudgetHeader header, so
+	// shards never burn evaluation time an expired caller cannot use.
+	api.Limits
 	// Timeout bounds each shard call leg (0 = 10s).
 	Timeout time.Duration
 	// HedgeAfter starts a second, racing leg against a shard that has
@@ -62,14 +57,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker deflects a replica's
 	// traffic before the half-open trial (0 = 1s).
 	BreakerCooldown time.Duration
-	// DefaultTimeout, when > 0, bounds every client request with an
-	// end-to-end deadline: the composition context expires after this
-	// long and the request answers 504. The remaining budget is
-	// forwarded to every shard leg as the api.BudgetHeader header, so
-	// shards never burn evaluation time an expired caller cannot use.
-	// Clients tighten (never widen) the bound per request with the
-	// same header. 0 leaves requests unbounded.
-	DefaultTimeout time.Duration
 	// Transport overrides the HTTP transport (tests inject failures
 	// here). nil means http.DefaultTransport.
 	Transport http.RoundTripper
@@ -163,21 +150,16 @@ func (ss *shardState) candidates(t time.Time) []*replicaState {
 // other query is proxied whole to the shard owning it. Create with
 // New, mount via Handler.
 type Coordinator struct {
+	// Front admits, bounds, decodes and counts every request.
+	*api.Front
 	cfg    Config
 	g      *pathcost.Graph
 	part   *Partition
 	mux    *http.ServeMux
 	client *http.Client
 	shards []*shardState
-	sem    chan struct{}
-	start  time.Time
 
-	served    atomic.Uint64
-	rejected  atomic.Uint64
-	abandoned atomic.Uint64
-	shed      atomic.Uint64
-	hedges    atomic.Uint64
-	queued    atomic.Int64
+	hedges atomic.Uint64
 }
 
 // New builds a Coordinator over g's partition.
@@ -190,15 +172,8 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("shard: partition is for %d vertices, network has %d",
 			len(part.Vertex), g.NumVertices())
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = server.DefaultMaxInFlight
-	}
-	if cfg.MaxPathEdges <= 0 {
-		cfg.MaxPathEdges = 256
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
+	front := api.NewFront("coordinator", cfg.Limits)
+	cfg.Limits = front.Limits
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
@@ -215,13 +190,12 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 		cfg.BreakerCooldown = time.Second
 	}
 	c := &Coordinator{
+		Front:  front,
 		cfg:    cfg,
 		g:      g,
 		part:   part,
 		mux:    http.NewServeMux(),
 		client: &http.Client{Transport: cfg.Transport},
-		sem:    make(chan struct{}, cfg.MaxInFlight),
-		start:  time.Now(),
 	}
 	for r, group := range cfg.Shards {
 		ss := &shardState{region: r}
@@ -236,8 +210,8 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 		}
 		c.shards = append(c.shards, ss)
 	}
-	c.mux.HandleFunc("/healthz", c.handleHealthz)
-	c.mux.HandleFunc("/metrics", c.handleMetrics)
+	c.mux.HandleFunc("/healthz", c.HandleHealthz)
+	c.mux.Handle("/metrics", c.metrics())
 	c.mux.HandleFunc("/v1/distribution", c.handleDistribution)
 	c.mux.HandleFunc("/v1/route", c.handleRoute)
 	c.mux.HandleFunc("/v1/topk", c.handleTopK)
@@ -315,41 +289,6 @@ func (c *Coordinator) probeOnce(ctx context.Context, rs *replicaState) {
 		return
 	}
 	rs.noteSuccess()
-}
-
-// --- admission ---------------------------------------------------------
-
-func (c *Coordinator) acquire(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		c.abandoned.Add(1)
-		return false
-	}
-	select {
-	case c.sem <- struct{}{}:
-		return true
-	default:
-	}
-	c.queued.Add(1)
-	defer c.queued.Add(-1)
-	select {
-	case c.sem <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		c.abandoned.Add(1)
-		return false
-	}
-}
-
-func (c *Coordinator) release() { <-c.sem }
-
-func (c *Coordinator) shedIfOverloaded(w http.ResponseWriter) bool {
-	if c.cfg.MaxQueue <= 0 || c.queued.Load() < int64(c.cfg.MaxQueue) {
-		return false
-	}
-	c.shed.Add(1)
-	w.Header().Set("Retry-After", "1")
-	c.writeError(w, http.StatusTooManyRequests, "coordinator overloaded, retry later")
-	return true
 }
 
 // --- query composition -------------------------------------------------

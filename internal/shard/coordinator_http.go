@@ -3,116 +3,30 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/api"
 )
 
-// --- request plumbing --------------------------------------------------
-
-func (c *Coordinator) readRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		c.writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		c.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-// requestContext derives the composition context for one request: the
-// tighter of Config.DefaultTimeout and the caller's api.BudgetHeader
-// header, layered on the request's own context. ok = false means the
-// header was garbage and a 400 was already written. The returned
-// cancel must always be called.
-func (c *Coordinator) requestContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	budget, hasBudget, err := api.ParseBudget(r.Header.Get(api.BudgetHeader))
-	if err != nil {
-		c.writeError(w, http.StatusBadRequest, err.Error())
-		return nil, nil, false
-	}
-	timeout := c.cfg.DefaultTimeout
-	if hasBudget && (timeout <= 0 || budget < timeout) {
-		timeout = budget
-	}
-	if timeout <= 0 {
-		return r.Context(), func() {}, true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return ctx, cancel, true
-}
-
-func (c *Coordinator) writeJSON(w http.ResponseWriter, code int, v any) {
-	c.writeJSONUncounted(w, code, v)
-	c.served.Add(1)
-}
-
-func (c *Coordinator) writeJSONUncounted(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (c *Coordinator) writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(api.Error{Error: msg})
-	c.rejected.Add(1)
-}
-
-// writeEntryOutcome writes a single-query handler's composed result:
-// the payload on 200, the error envelope otherwise. An entry never
-// carries status 0; a vanished client just makes the write a no-op at
-// the socket.
-func (c *Coordinator) writeEntryOutcome(w http.ResponseWriter, res *api.BatchResult, payload any) {
-	if res.Status == http.StatusOK {
-		c.writeJSON(w, http.StatusOK, payload)
-		return
-	}
-	c.writeError(w, res.Status, res.Error)
-}
+// --- handlers ----------------------------------------------------------
 
 // processOne runs a single entry through the wave engine under one
 // admission slot.
 func (c *Coordinator) processOne(ctx context.Context, q api.BatchQuery) (api.BatchResult, bool) {
-	if !c.acquire(ctx) {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return api.BatchResult{Status: http.StatusGatewayTimeout, Error: "deadline exceeded"}, true
-		}
-		return api.BatchResult{}, false
+	if !c.Acquire(ctx) {
+		status, msg := api.DeadlineOutcome(ctx)
+		return api.BatchResult{Status: status, Error: msg}, status != 0
 	}
-	defer c.release()
+	defer c.Release()
 	res := c.process(ctx, []api.BatchQuery{q})
 	return res[0], true
 }
 
-// --- handlers ----------------------------------------------------------
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		c.writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	c.writeJSONUncounted(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 func (c *Coordinator) handleDistribution(w http.ResponseWriter, r *http.Request) {
-	if c.shedIfOverloaded(w) {
-		return
-	}
 	var req api.DistributionRequest
-	if !c.readRequest(w, r, &req) {
-		return
-	}
-	ctx, cancel, ok := c.requestContext(w, r)
+	ctx, cancel, ok := c.Begin(w, r, &req)
 	if !ok {
 		return
 	}
@@ -124,18 +38,12 @@ func (c *Coordinator) handleDistribution(w http.ResponseWriter, r *http.Request)
 	if !ok {
 		return
 	}
-	c.writeEntryOutcome(w, &res, res.Distribution)
+	c.WriteOutcome(w, res.Status, res.Error, res.Distribution)
 }
 
 func (c *Coordinator) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if c.shedIfOverloaded(w) {
-		return
-	}
 	var req api.RouteRequest
-	if !c.readRequest(w, r, &req) {
-		return
-	}
-	ctx, cancel, ok := c.requestContext(w, r)
+	ctx, cancel, ok := c.Begin(w, r, &req)
 	if !ok {
 		return
 	}
@@ -147,18 +55,12 @@ func (c *Coordinator) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	c.writeEntryOutcome(w, &res, res.Route)
+	c.WriteOutcome(w, res.Status, res.Error, res.Route)
 }
 
 func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if c.shedIfOverloaded(w) {
-		return
-	}
 	var req api.TopKRequest
-	if !c.readRequest(w, r, &req) {
-		return
-	}
-	ctx, cancel, ok := c.requestContext(w, r)
+	ctx, cancel, ok := c.Begin(w, r, &req)
 	if !ok {
 		return
 	}
@@ -170,45 +72,38 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	c.writeEntryOutcome(w, &res, res.TopK)
+	c.WriteOutcome(w, res.Status, res.Error, res.TopK)
 }
 
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if c.shedIfOverloaded(w) {
-		return
-	}
 	var req api.BatchRequest
-	if !c.readRequest(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		c.writeError(w, http.StatusBadRequest, "batch must contain at least one query")
-		return
-	}
-	if len(req.Queries) > c.cfg.MaxBatch {
-		c.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), c.cfg.MaxBatch))
-		return
-	}
-	ctx, cancel, ok := c.requestContext(w, r)
+	ctx, cancel, ok := c.Begin(w, r, &req)
 	if !ok {
 		return
 	}
 	defer cancel()
-	if !c.acquire(ctx) {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			c.writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
-		}
+	if len(req.Queries) == 0 {
+		c.WriteError(w, http.StatusBadRequest, "batch must contain at least one query")
+		return
+	}
+	if len(req.Queries) > c.cfg.MaxBatch {
+		c.WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), c.cfg.MaxBatch))
+		return
+	}
+	if !c.Acquire(ctx) {
+		status, msg := api.DeadlineOutcome(ctx)
+		c.WriteOutcome(w, status, msg, nil)
 		return
 	}
 	results := func() []api.BatchResult {
-		defer c.release()
+		defer c.Release()
 		return c.process(ctx, req.Queries)
 	}()
 	if r.Context().Err() != nil {
 		return // client gone; an expired deadline still answers (per-entry 504s)
 	}
-	c.writeJSON(w, http.StatusOK, api.BatchResponse{Results: results})
+	c.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: results})
 }
 
 // --- stats -------------------------------------------------------------
@@ -255,16 +150,17 @@ type coordStatsResponse struct {
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		c.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		c.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
+	fc := c.Counters()
 	resp := coordStatsResponse{
 		K:           c.part.K,
-		UptimeS:     time.Since(c.start).Seconds(),
-		Served:      c.served.Load(),
-		Rejected:    c.rejected.Load(),
-		Abandoned:   c.abandoned.Load(),
-		Shed:        c.shed.Load(),
+		UptimeS:     c.Uptime().Seconds(),
+		Served:      fc.Served,
+		Rejected:    fc.Rejected,
+		Abandoned:   fc.Abandoned,
+		Shed:        fc.Shed,
 		Hedges:      c.hedges.Load(),
 		MaxInFlight: c.cfg.MaxInFlight,
 		MaxQueue:    c.cfg.MaxQueue,
@@ -290,7 +186,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Epoch = c.fetchEpoch(r.Context(), ss)
 		resp.Shards = append(resp.Shards, st)
 	}
-	c.writeJSONUncounted(w, http.StatusOK, resp)
+	c.WriteJSONUncounted(w, http.StatusOK, resp)
 }
 
 // fetchEpoch asks a region's /v1/stats for its epoch sequence, trying
@@ -333,65 +229,41 @@ func (c *Coordinator) fetchReplicaEpoch(ctx context.Context, rs *replicaState) *
 
 // --- metrics -----------------------------------------------------------
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "use GET", http.StatusMethodNotAllowed)
-		return
-	}
-	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("pathcost_coordinator_requests_served_total", "Requests answered 2xx.", c.served.Load())
-	counter("pathcost_coordinator_requests_rejected_total", "Requests answered 4xx/5xx.", c.rejected.Load())
-	counter("pathcost_coordinator_requests_abandoned_total", "Clients gone before composition started.", c.abandoned.Load())
-	counter("pathcost_coordinator_requests_shed_total", "Requests answered 429 by the MaxQueue load shedder.", c.shed.Load())
-	counter("pathcost_coordinator_hedges_total", "Second legs launched against slow or failed shard calls.", c.hedges.Load())
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_uptime_seconds Seconds since the coordinator started.\n"+
-		"# TYPE pathcost_coordinator_uptime_seconds gauge\npathcost_coordinator_uptime_seconds %g\n",
-		time.Since(c.start).Seconds())
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_shard_healthy Last known group health per region (1 while any replica is up).\n"+
-		"# TYPE pathcost_coordinator_shard_healthy gauge\n")
-	for _, ss := range c.shards {
-		v := 0
-		if ss.healthy() {
-			v = 1
+// metrics serves the coordinator's Prometheus scrape: request
+// counters plus per-region and per-replica health, call and breaker
+// series.
+func (c *Coordinator) metrics() http.Handler {
+	return api.MetricsHandler(func(m *api.Exposition) {
+		c.Requests(m, "pathcost_coordinator_", "composition")
+		m.Counter("pathcost_coordinator_hedges_total", "Second legs launched against slow or failed shard calls.", c.hedges.Load())
+		m.Gauge("pathcost_coordinator_uptime_seconds", "Seconds since the coordinator started.", c.Uptime().Seconds())
+		m.Family("pathcost_coordinator_shard_healthy", "gauge", "Last known group health per region (1 while any replica is up).")
+		for _, ss := range c.shards {
+			m.Sample("pathcost_coordinator_shard_healthy", b2u(ss.healthy()), "region", fmt.Sprint(ss.region))
 		}
-		fmt.Fprintf(&b, "pathcost_coordinator_shard_healthy{region=%q} %d\n", fmt.Sprint(ss.region), v)
-	}
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_replica_healthy Last known replica health (1 healthy, 0 not).\n"+
-		"# TYPE pathcost_coordinator_replica_healthy gauge\n")
-	for _, ss := range c.shards {
-		for _, rs := range ss.replicas {
-			v := 0
-			if rs.healthy.Load() {
-				v = 1
+		// Each per-replica family lists every replica of every region.
+		replicas := func(name, typ, help string, value func(*replicaState) uint64) {
+			m.Family(name, typ, help)
+			for _, ss := range c.shards {
+				for _, rs := range ss.replicas {
+					m.Sample(name, value(rs), "region", fmt.Sprint(ss.region), "replica", rs.base)
+				}
 			}
-			fmt.Fprintf(&b, "pathcost_coordinator_replica_healthy{region=%q,replica=%q} %d\n",
-				fmt.Sprint(ss.region), rs.base, v)
 		}
+		replicas("pathcost_coordinator_replica_healthy", "gauge", "Last known replica health (1 healthy, 0 not).",
+			func(rs *replicaState) uint64 { return b2u(rs.healthy.Load()) })
+		replicas("pathcost_coordinator_shard_calls_total", "counter", "Call legs per replica.",
+			func(rs *replicaState) uint64 { return rs.calls.Load() })
+		now := time.Now()
+		replicas("pathcost_coordinator_breaker_open", "gauge", "Replica circuit breaker state (1 open, 0 closed).",
+			func(rs *replicaState) uint64 { return b2u(!rs.admitted(now)) })
+	})
+}
+
+// b2u renders a boolean gauge sample.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_shard_calls_total Call legs per replica.\n"+
-		"# TYPE pathcost_coordinator_shard_calls_total counter\n")
-	for _, ss := range c.shards {
-		for _, rs := range ss.replicas {
-			fmt.Fprintf(&b, "pathcost_coordinator_shard_calls_total{region=%q,replica=%q} %d\n",
-				fmt.Sprint(ss.region), rs.base, rs.calls.Load())
-		}
-	}
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_breaker_open Replica circuit breaker state (1 open, 0 closed).\n"+
-		"# TYPE pathcost_coordinator_breaker_open gauge\n")
-	now := time.Now()
-	for _, ss := range c.shards {
-		for _, rs := range ss.replicas {
-			v := 0
-			if !rs.admitted(now) {
-				v = 1
-			}
-			fmt.Fprintf(&b, "pathcost_coordinator_breaker_open{region=%q,replica=%q} %d\n",
-				fmt.Sprint(ss.region), rs.base, v)
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	return 0
 }

@@ -16,4 +16,10 @@
 // process serving the union model — a property the differential test
 // harness in this package checks literally, across partitions,
 // methods and cache temperatures.
+//
+// The coordinator embeds the same api.Front as the single-process
+// server, so admission (MaxInFlight slots, MaxQueue shedding),
+// deadlines (DefaultTimeout and the X-Budget-Ms header), request
+// decoding, the JSON envelope and the request counters behave
+// identically on both tiers.
 package shard

@@ -162,10 +162,10 @@ func TestSplitModelPartitionsVariables(t *testing.T) {
 	// is that the shards partition exactly the union's variables.
 	shardVars, unionVars, totalVars := 0, 0, 0
 	for _, ss := range split.Shards {
-		shardVars += ss.Stats().TotalVariables()
+		shardVars += ss.Stats().Model.TotalVariables()
 	}
-	unionVars = split.Union.Stats().TotalVariables()
-	totalVars = sys.Stats().TotalVariables()
+	unionVars = split.Union.Stats().Model.TotalVariables()
+	totalVars = sys.Stats().Model.TotalVariables()
 	if shardVars != unionVars {
 		t.Errorf("shards hold %d variables, union holds %d — must be a disjoint union", shardVars, unionVars)
 	}
@@ -186,7 +186,7 @@ func TestSplitModelPartitionsVariables(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading written shard model: %v", err)
 	}
-	if got, want := loaded.Stats().TotalVariables(), split.Shards[1].Stats().TotalVariables(); got != want {
+	if got, want := loaded.Stats().Model.TotalVariables(), split.Shards[1].Stats().Model.TotalVariables(); got != want {
 		t.Errorf("loaded shard model has %d variables, want %d", got, want)
 	}
 }

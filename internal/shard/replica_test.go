@@ -35,7 +35,7 @@ func startReplicatedFleet(t testing.TB, k, n int, extra func(*Config)) *replicat
 	rf := &replicatedFleet{fleet: &fleet{part: part, split: split}}
 	cfg := Config{ProbeInterval: -1}
 	for _, ss := range split.Shards {
-		h := server.New(ss, server.Config{MaxInFlight: 4}).Handler()
+		h := server.New(ss, server.Config{Limits: api.Limits{MaxInFlight: 4}}).Handler()
 		var group []*httptest.Server
 		groupURL := ""
 		for i := 0; i < n; i++ {
@@ -50,7 +50,7 @@ func startReplicatedFleet(t testing.TB, k, n int, extra func(*Config)) *replicat
 		rf.shardTS = append(rf.shardTS, group[0])
 		cfg.Shards = append(cfg.Shards, groupURL)
 	}
-	rf.unionTS = httptest.NewServer(server.New(split.Union, server.Config{MaxInFlight: 4}).Handler())
+	rf.unionTS = httptest.NewServer(server.New(split.Union, server.Config{Limits: api.Limits{MaxInFlight: 4}}).Handler())
 	if extra != nil {
 		extra(&cfg)
 	}

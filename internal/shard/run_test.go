@@ -103,15 +103,14 @@ func TestCoordinatorShedsWhenOverloaded(t *testing.T) {
 	}
 	f := &fleet{part: part, split: split}
 	for _, ss := range split.Shards {
-		ts := httptest.NewServer(server.New(ss, server.Config{MaxInFlight: 4}).Handler())
+		ts := httptest.NewServer(server.New(ss, server.Config{Limits: api.Limits{MaxInFlight: 4}}).Handler())
 		t.Cleanup(ts.Close)
 		f.shardTS = append(f.shardTS, ts)
 	}
 	coord, err := New(sys.Graph, part, Config{
 		Shards:        []string{f.shardTS[0].URL, f.shardTS[1].URL},
 		ProbeInterval: -1,
-		MaxInFlight:   1,
-		MaxQueue:      1,
+		Limits:        api.Limits{MaxInFlight: 1, MaxQueue: 1},
 		Transport:     ft,
 		HedgeAfter:    time.Hour, // no hedge: the hang must hold the slot
 		Timeout:       700 * time.Millisecond,
@@ -141,7 +140,7 @@ func TestCoordinatorShedsWhenOverloaded(t *testing.T) {
 			codes[i] = code
 		}(i)
 		deadline := time.Now().Add(5 * time.Second)
-		for int(coord.queued.Load()) < i {
+		for int(coord.Counters().Queued) < i {
 			if time.Now().After(deadline) {
 				t.Fatalf("request %d never queued", i)
 			}
@@ -161,7 +160,7 @@ func TestCoordinatorShedsWhenOverloaded(t *testing.T) {
 	if resp.Header.Get("Retry-After") != "1" {
 		t.Fatalf("Retry-After = %q", resp.Header.Get("Retry-After"))
 	}
-	if coord.shed.Load() == 0 {
+	if coord.Counters().Shed == 0 {
 		t.Fatal("shed counter did not move")
 	}
 

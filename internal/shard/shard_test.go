@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	pathcost "repro"
+	"repro/internal/api"
 	"repro/internal/server"
 )
 
@@ -66,12 +67,12 @@ func startFleet(t testing.TB, k int, extra func(*Config)) *fleet {
 	f := &fleet{part: part, split: split}
 	cfg := Config{ProbeInterval: -1} // handler-only tests: no probe loops
 	for r, ss := range split.Shards {
-		ts := httptest.NewServer(server.New(ss, server.Config{MaxInFlight: 4}).Handler())
+		ts := httptest.NewServer(server.New(ss, server.Config{Limits: api.Limits{MaxInFlight: 4}}).Handler())
 		f.shardTS = append(f.shardTS, ts)
 		cfg.Shards = append(cfg.Shards, ts.URL)
 		_ = r
 	}
-	f.unionTS = httptest.NewServer(server.New(split.Union, server.Config{MaxInFlight: 4}).Handler())
+	f.unionTS = httptest.NewServer(server.New(split.Union, server.Config{Limits: api.Limits{MaxInFlight: 4}}).Handler())
 	if extra != nil {
 		extra(&cfg)
 	}

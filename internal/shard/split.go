@@ -36,8 +36,10 @@ func SplitModel(sys *pathcost.System, part *Partition) (*SplitResult, error) {
 	if len(part.Vertex) != g.NumVertices() {
 		return nil, fmt.Errorf("shard: partition is for %d vertices, network has %d", len(part.Vertex), g.NumVertices())
 	}
-	h := sys.Hybrid()
-	syn := sys.Synopsis()
+	// One epoch snapshot: the model and its synopsis must agree even if
+	// a publish lands mid-split.
+	ep := sys.CurrentEpoch()
+	h, syn := ep.Hybrid, ep.Synopsis()
 
 	total := 0
 	h.ForEachVariable(func(*core.Variable) { total++ })
@@ -66,7 +68,7 @@ func SplitModel(sys *pathcost.System, part *Partition) (*SplitResult, error) {
 			return nil, fmt.Errorf("shard: building region %d: %w", r, err)
 		}
 		res.Shards[r] = shardSys
-		shardSys.Hybrid().ForEachVariable(func(*core.Variable) { kept++ })
+		shardSys.CurrentEpoch().Hybrid.ForEachVariable(func(*core.Variable) { kept++ })
 	}
 
 	uh := h.FilterVariables(func(v *core.Variable) bool {

@@ -98,8 +98,8 @@ func TestPathDistributionMemoByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	st, ok := sys.ConvMemoStats()
-	if !ok || st.Hits == 0 {
+	st := sys.Stats().Memo
+	if st == nil || st.Hits == 0 {
 		t.Fatalf("conv memo never hit: %+v", st)
 	}
 }

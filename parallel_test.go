@@ -107,7 +107,7 @@ func TestQueryCache(t *testing.T) {
 	p := dense[0].Path
 	lo, _ := sys.Params.IntervalBounds(dense[0].Interval)
 
-	if _, ok := sys.QueryCacheStats(); ok {
+	if sys.Stats().Cache != nil {
 		t.Fatal("cache reported enabled before EnableQueryCache")
 	}
 	sys.EnableQueryCache(128)
@@ -129,8 +129,8 @@ func TestQueryCache(t *testing.T) {
 	if _, err := sys.PathDistribution(p, lo+60, LB); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := sys.QueryCacheStats()
-	if !ok {
+	st := sys.Stats().Cache
+	if st == nil {
 		t.Fatal("cache stats unavailable")
 	}
 	if st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
@@ -182,8 +182,7 @@ func TestQueryCacheConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, _ := sys.QueryCacheStats()
-	if st.Hits == 0 {
+	if st := sys.Stats().Cache; st.Hits == 0 {
 		t.Fatal("no cache hits under a skewed concurrent workload")
 	}
 }

@@ -157,6 +157,9 @@ func (e *ModelEpoch) Synopsis() *core.SynopsisStore { return e.ev.Load().Syn }
 // model and stores.
 func (e *ModelEpoch) Router() *routing.Router { return routing.New(e.ev.Load()) }
 
+// Planner returns the epoch's batch planner, or nil.
+func (e *ModelEpoch) Planner() *core.BatchPlanner { return e.planner.Load() }
+
 // attach swaps in an evaluator derived from the current one by edit.
 // Callers hold the System's pubMu, so concurrent attachments never
 // lose an update.
@@ -171,8 +174,8 @@ func (e *ModelEpoch) attach(edit func(*core.Evaluator)) {
 // machinery around it.
 //
 // A System is safe for concurrent use: any number of goroutines may
-// run PathDistribution, Route, TopKRoutes, GroundTruth and
-// QueryCacheStats simultaneously, and EnableQueryCache, EnableConvMemo
+// run PathDistribution, Route, TopKRoutes, GroundTruth and Stats
+// simultaneously, and EnableQueryCache, EnableConvMemo
 // and ApplyDeltas/PublishEpoch may be called while queries are in
 // flight. Each query snapshots the current epoch once (one atomic
 // load) and runs entirely against it; publishing a new epoch swaps the
@@ -202,7 +205,7 @@ type System struct {
 	convMemo atomic.Pointer[core.ConvMemo]
 
 	// planMu guards planAgg, the planner counters accumulated across
-	// batches for PlannerStats.
+	// batches for Stats.
 	planMu  sync.Mutex
 	planAgg PlannerStats
 
@@ -234,7 +237,7 @@ type System struct {
 	// lastPublish is read/written only while holding pubMu.
 	lastPublish time.Time
 	// statMu guards the publish bookkeeping below (kept separate from
-	// pubMu so EpochStats never waits behind an in-progress build).
+	// pubMu so Stats never waits behind an in-progress build).
 	statMu      sync.Mutex
 	publishes   uint64
 	stagedTotal uint64
@@ -270,19 +273,11 @@ func NewSystem(g *Graph, data *Collection, params Params) (*System, error) {
 	return newSystem(g, data, h, params), nil
 }
 
-// CurrentEpoch returns the currently served model snapshot. Callers
-// that make several dependent reads should snapshot once and use the
-// returned epoch throughout, as every query path here does.
+// CurrentEpoch returns the currently served model snapshot: its Seq,
+// Hybrid graph, Router, Synopsis and Planner. Callers that make
+// several dependent reads should snapshot once and use the returned
+// epoch throughout, as every query path here does.
 func (s *System) CurrentEpoch() *ModelEpoch { return s.epoch.Load() }
-
-// Epoch returns the current epoch sequence number.
-func (s *System) Epoch() uint64 { return s.epoch.Load().Seq }
-
-// Hybrid returns the current epoch's trained hybrid graph.
-func (s *System) Hybrid() *core.HybridGraph { return s.epoch.Load().Hybrid }
-
-// Router returns the current epoch's stochastic router.
-func (s *System) Router() *routing.Router { return s.epoch.Load().Router() }
 
 // Data returns the current epoch's trajectory collection (nil when
 // the model was loaded without data).
@@ -353,16 +348,6 @@ func (s *System) EnableQueryCache(capacity int) {
 	s.qcache.Store(cache.NewLRU[*QueryResult](capacity))
 }
 
-// QueryCacheStats snapshots the query cache's hit/miss/eviction
-// counters; ok is false when no cache is enabled.
-func (s *System) QueryCacheStats() (st CacheStats, ok bool) {
-	c := s.qcache.Load()
-	if c == nil {
-		return CacheStats{}, false
-	}
-	return c.Stats(), true
-}
-
 // EnableConvMemo installs the incremental sub-path convolution engine:
 // a memo of at most capacity prefix chain states, keyed by (path
 // prefix, exact departure time, method, rank cap) and shared between
@@ -394,16 +379,6 @@ func (s *System) EnableConvMemo(capacity int) {
 	ep.attach(func(ev *core.Evaluator) { ev.Memo = view })
 }
 
-// ConvMemoStats snapshots the convolution memo's hit/miss/eviction
-// counters; ok is false when no memo is enabled.
-func (s *System) ConvMemoStats() (st CacheStats, ok bool) {
-	m := s.convMemo.Load()
-	if m == nil {
-		return CacheStats{}, false
-	}
-	return m.Stats(), true
-}
-
 // BuildSynopsis runs the offline synopsis selection pass over a
 // workload sample (a real query log or a synthetic stand-in — see
 // SyntheticWorkload), materializes the selected sub-path states under
@@ -412,12 +387,21 @@ func (s *System) ConvMemoStats() (st CacheStats, ok bool) {
 // it with the model, and LoadSystem re-attaches it at load — the
 // "train once, serve warm" shape: a freshly booted server answers the
 // synopsis's sub-paths with zero convolutions.
+//
+// The build and the attach happen under the publish lock against one
+// epoch, so a concurrent PublishEpoch either lands first (and the store
+// is built on its model) or waits for the attach (and carries the store
+// forward through its incremental rebuild). A store built on one
+// epoch's model never serves another's.
 func (s *System) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig) (*core.SynopsisStore, error) {
-	syn, err := s.Hybrid().BuildSynopsis(workload, cfg)
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	ep := s.epoch.Load()
+	syn, err := ep.Hybrid.BuildSynopsis(workload, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.AttachSynopsis(syn)
+	ep.attach(func(ev *core.Evaluator) { ev.Syn = syn })
 	return syn, nil
 }
 
@@ -431,19 +415,6 @@ func (s *System) AttachSynopsis(syn *core.SynopsisStore) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	s.epoch.Load().attach(func(ev *core.Evaluator) { ev.Syn = syn })
-}
-
-// Synopsis returns the current epoch's synopsis store, or nil.
-func (s *System) Synopsis() *core.SynopsisStore { return s.epoch.Load().Synopsis() }
-
-// SynopsisStats snapshots the synopsis's size and probe counters; ok
-// is false when no synopsis is attached.
-func (s *System) SynopsisStats() (st SynopsisStats, ok bool) {
-	syn := s.Synopsis()
-	if syn == nil {
-		return SynopsisStats{}, false
-	}
-	return syn.Stats(), true
 }
 
 // PlannerStats aggregates batch-planner effectiveness across every
@@ -471,6 +442,8 @@ type PlannerStats struct {
 // workers bounds the planner's evaluation pool; ≤ 0 means GOMAXPROCS.
 // Safe to call while queries are in flight (the pointer swaps
 // atomically); calling it again resets the accumulated PlannerStats.
+// Without it, PlanDistributions plans each call with an ephemeral
+// planner (still correct, no stats) and routing expands sequentially.
 func (s *System) EnableBatchPlanner(workers int) {
 	s.planMu.Lock()
 	s.planAgg = PlannerStats{}
@@ -478,32 +451,6 @@ func (s *System) EnableBatchPlanner(workers int) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	s.epoch.Load().planner.Store(core.NewBatchPlanner(workers))
-}
-
-// DisableBatchPlanner removes the planner; PlanDistributions then
-// falls back to an ephemeral planner per call (still correct, no
-// stats), and routing reverts to sequential expansion.
-func (s *System) DisableBatchPlanner() {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	s.epoch.Load().planner.Store(nil)
-}
-
-// Planner returns the current epoch's batch planner, or nil.
-func (s *System) Planner() *core.BatchPlanner { return s.epoch.Load().planner.Load() }
-
-// PlannerStats snapshots the accumulated planner counters; ok is
-// false when no planner is enabled.
-func (s *System) PlannerStats() (st PlannerStats, ok bool) {
-	bp := s.Planner()
-	if bp == nil {
-		return PlannerStats{}, false
-	}
-	s.planMu.Lock()
-	st = s.planAgg
-	s.planMu.Unlock()
-	st.Workers = bp.Workers()
-	return st, true
 }
 
 // PlanDistributions answers a batch of distribution queries through
@@ -528,9 +475,6 @@ func (s *System) PlannerStats() (st PlannerStats, ok bool) {
 // covers the planned (cache-miss) portion of the batch.
 func (s *System) PlanDistributions(ctx context.Context, queries []PlanQuery,
 	acquire func() bool, release func()) ([]PlanResult, PlanStats) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ep := s.epoch.Load()
 	bp := ep.planner.Load()
 	installed := bp != nil
@@ -690,13 +634,9 @@ var ErrGateRejected = errors.New("pathcost: computation gate rejected the query"
 // — an expired budget stops the computation and fills no cache entry.
 // A follower handed the LEADER's context error while its own ctx is
 // still live retries with a new leader, so one short-budget caller
-// never poisons a long-budget one. A nil ctx means
-// context.Background, which disables every deadline check.
+// never poisons a long-budget one.
 func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float64, m Method,
 	acquire func() bool, release func()) (*QueryResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if m == "" {
 		// Normalize before keying: core defaults "" to OD, so both
 		// spellings are one logical query and must share one cache
@@ -893,10 +833,6 @@ func (s *System) RandomQueryPath(n int, rnd func(int) int) (Path, error) {
 	return nil, fmt.Errorf("pathcost: no %d-edge simple path found after 200 attempts", n)
 }
 
-// Stats returns the hybrid graph's build statistics (variable counts
-// by rank, coverage, storage).
-func (s *System) Stats() core.BuildStats { return s.Hybrid().Stats() }
-
 // SaveModel writes the trained hybrid graph to w — including the
 // attached synopsis, when one exists, in a versioned trailing section
 // — and LoadSystem restores both against the same road network.
@@ -956,9 +892,9 @@ func (s *System) SetDecayHalflife(d time.Duration) {
 	s.decayBits.Store(math.Float64bits(d.Seconds()))
 }
 
-// DecayHalflife returns the configured decay halflife (zero = exact
+// decayHalflife returns the configured decay halflife (zero = exact
 // mode).
-func (s *System) DecayHalflife() time.Duration {
+func (s *System) decayHalflife() time.Duration {
 	sec := math.Float64frombits(s.decayBits.Load())
 	return time.Duration(sec * float64(time.Second))
 }
@@ -1019,19 +955,6 @@ func (s *System) SetWALCheckpoint(fn func() error) {
 	s.stageMu.Lock()
 	s.checkpointFn = fn
 	s.stageMu.Unlock()
-}
-
-// WALStats reports the attached write-ahead log's state; ok is false
-// when no WAL is attached. AppendErrors counts batches rejected
-// because the log could not append them.
-func (s *System) WALStats() (st wal.Stats, appendErrors uint64, ok bool) {
-	s.stageMu.Lock()
-	l, errs := s.wlog, s.walErrors
-	s.stageMu.Unlock()
-	if l == nil {
-		return wal.Stats{}, 0, false
-	}
-	return l.Stats(), errs, true
 }
 
 // StageTrajectories validates a batch of map-matched trajectories
@@ -1127,7 +1050,7 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 		return s.epochStats(ep), nil
 	}
 
-	halflife := s.DecayHalflife()
+	halflife := s.decayHalflife()
 	factor := 1.0
 	if halflife > 0 {
 		dt := time.Since(s.lastPublish)
@@ -1257,9 +1180,70 @@ type EpochStats struct {
 	SynopsisDropped        int
 }
 
-// EpochStats snapshots the epoch lifecycle counters. It never waits
-// behind an in-progress publish.
-func (s *System) EpochStats() EpochStats { return s.epochStats(s.epoch.Load()) }
+// WALStats reports the attached write-ahead log's state.
+type WALStats struct {
+	wal.Stats
+	// AppendErrors counts StageTrajectories batches rejected because
+	// the log could not persist them.
+	AppendErrors uint64
+}
+
+// Stats is one snapshot of a System, taken against a single epoch: the
+// served model's build statistics, the epoch lifecycle, and one block
+// per optional serving layer — nil while that layer is off.
+type Stats struct {
+	// Model is the served hybrid graph's build statistics (variable
+	// counts by rank, coverage, storage).
+	Model core.BuildStats
+	// Epoch is the epoch lifecycle: served sequence, staging backlog
+	// and what the most recent publish did.
+	Epoch EpochStats
+	// Cache and Memo are the query cache (EnableQueryCache) and the
+	// convolution memo (EnableConvMemo).
+	Cache, Memo *CacheStats
+	// Synopsis is the served epoch's synopsis store (BuildSynopsis,
+	// AttachSynopsis).
+	Synopsis *SynopsisStats
+	// Planner accumulates batch-planner effectiveness across every
+	// PlanDistributions call since EnableBatchPlanner.
+	Planner *PlannerStats
+	// WAL is the attached ingest write-ahead log (AttachWAL).
+	WAL *WALStats
+}
+
+// Stats snapshots the System. The model, synopsis and planner blocks
+// all describe one epoch, loaded once. It never waits behind an
+// in-progress publish.
+func (s *System) Stats() Stats {
+	ep := s.epoch.Load()
+	st := Stats{Model: ep.Hybrid.Stats(), Epoch: s.epochStats(ep)}
+	if c := s.qcache.Load(); c != nil {
+		cs := c.Stats()
+		st.Cache = &cs
+	}
+	if m := s.convMemo.Load(); m != nil {
+		ms := m.Stats()
+		st.Memo = &ms
+	}
+	if syn := ep.Synopsis(); syn != nil {
+		ss := syn.Stats()
+		st.Synopsis = &ss
+	}
+	if bp := ep.Planner(); bp != nil {
+		s.planMu.Lock()
+		ps := s.planAgg
+		s.planMu.Unlock()
+		ps.Workers = bp.Workers()
+		st.Planner = &ps
+	}
+	s.stageMu.Lock()
+	l, errs := s.wlog, s.walErrors
+	s.stageMu.Unlock()
+	if l != nil {
+		st.WAL = &WALStats{Stats: l.Stats(), AppendErrors: errs}
+	}
+	return st
+}
 
 func (s *System) epochStats(ep *ModelEpoch) EpochStats {
 	s.stageMu.Lock()
@@ -1272,7 +1256,7 @@ func (s *System) epochStats(ep *ModelEpoch) EpochStats {
 		Publishes:              s.publishes,
 		StagedPending:          pending,
 		StagedTotal:            s.stagedTotal,
-		DecayHalflifeSec:       s.DecayHalflife().Seconds(),
+		DecayHalflifeSec:       s.decayHalflife().Seconds(),
 		LastTrajs:              s.lastDelta.Trajs,
 		LastTouchedVars:        s.lastDelta.TouchedPaths,
 		LastRebuiltVars:        s.lastDelta.RebuiltVars,

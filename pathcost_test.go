@@ -38,7 +38,7 @@ func TestSynthesizeAndStats(t *testing.T) {
 	if s.Graph.NumVertices() == 0 || s.Data().Len() != 4000 {
 		t.Fatalf("system malformed: %d vertices, %d trips", s.Graph.NumVertices(), s.Data().Len())
 	}
-	st := s.Stats()
+	st := s.Stats().Model
 	if st.TotalVariables() == 0 {
 		t.Fatal("no variables instantiated")
 	}
@@ -194,7 +194,7 @@ func TestSaveLoadModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Stats().TotalVariables() != s.Stats().TotalVariables() {
+	if loaded.Stats().Model.TotalVariables() != s.Stats().Model.TotalVariables() {
 		t.Fatal("variable counts differ after load")
 	}
 	dense := s.DensePaths(4, 20)

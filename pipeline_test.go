@@ -35,7 +35,7 @@ func TestGPSPipelineEndToEnd(t *testing.T) {
 	if st.Records == 0 {
 		t.Fatal("record count missing")
 	}
-	if sys.Stats().TotalVariables() == 0 {
+	if sys.Stats().Model.TotalVariables() == 0 {
 		t.Fatal("no variables trained from matched GPS")
 	}
 

@@ -9,6 +9,7 @@ package pathcost
 //	go test -bench 'BenchmarkBatch' -benchmem .
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -69,7 +70,6 @@ func BenchmarkBatchIndependent(b *testing.B) {
 	sys, queries := planBenchSetup(b)
 	sys.EnableQueryCache(0)
 	sys.EnableConvMemo(0)
-	sys.DisableBatchPlanner()
 	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -82,7 +82,7 @@ func BenchmarkBatchIndependent(b *testing.B) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				if _, err := sys.Hybrid().CostDistribution(q.Path, q.Depart, q.Opt); err != nil {
+				if _, err := sys.CurrentEpoch().Hybrid.CostDistribution(q.Path, q.Depart, q.Opt); err != nil {
 					b.Error(err)
 				}
 			}(q)
@@ -99,11 +99,10 @@ func BenchmarkBatchPlanned(b *testing.B) {
 	sys.EnableQueryCache(0)
 	sys.EnableConvMemo(0)
 	sys.EnableBatchPlanner(runtime.GOMAXPROCS(0))
-	defer sys.DisableBatchPlanner()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _ := sys.PlanDistributions(nil, queries, nil, nil)
+		out, _ := sys.PlanDistributions(context.Background(), queries, nil, nil)
 		for j := range out {
 			if out[j].Err != nil {
 				b.Fatal(out[j].Err)

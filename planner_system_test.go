@@ -1,6 +1,7 @@
 package pathcost
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -35,6 +36,22 @@ func plannerTestSystem(t testing.TB) *System {
 		t.Fatal(planSysErr)
 	}
 	return planSysInst
+}
+
+// planCopy reloads the planner test model into a private System, so a
+// test can enable layers without leaking them into the shared one.
+func planCopy(t testing.TB) *System {
+	t.Helper()
+	base := plannerTestSystem(t)
+	var model bytes.Buffer
+	if err := base.SaveModel(&model); err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadSystem(base.Graph, base.Data(), &model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // plannerBatchQueries builds a prefix-heavy batch over one dense path.
@@ -72,13 +89,13 @@ func identicalPlanHist(a, b *hist.Histogram) bool {
 }
 
 func TestPlanDistributionsCacheInterplay(t *testing.T) {
-	s := plannerTestSystem(t)
+	s := planCopy(t)
 	queries := plannerBatchQueries(t, s)
 
 	// Storeless reference, computed before any cache exists.
 	ref := make([]*hist.Histogram, len(queries))
 	for i, q := range queries {
-		res, err := s.Hybrid().CostDistribution(q.Path, q.Depart, q.Opt)
+		res, err := s.CurrentEpoch().Hybrid.CostDistribution(q.Path, q.Depart, q.Opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,10 +104,6 @@ func TestPlanDistributionsCacheInterplay(t *testing.T) {
 
 	s.EnableQueryCache(256)
 	s.EnableBatchPlanner(4)
-	t.Cleanup(func() {
-		s.EnableQueryCache(0)
-		s.DisableBatchPlanner()
-	})
 
 	out, stats := s.PlanDistributions(context.Background(), queries, nil, nil)
 	for i := range out {
@@ -119,21 +132,20 @@ func TestPlanDistributionsCacheInterplay(t *testing.T) {
 	}
 
 	// The planned results also serve later single queries.
-	cs, ok := s.QueryCacheStats()
-	if !ok || cs.Hits == 0 {
+	cs := s.Stats().Cache
+	if cs == nil || cs.Hits == 0 {
 		t.Fatalf("query cache never hit: %+v", cs)
 	}
 
-	pst, ok := s.PlannerStats()
-	if !ok {
+	pst := s.Stats().Planner
+	if pst == nil {
 		t.Fatal("PlannerStats not available with the planner enabled")
 	}
 	if pst.Batches != 2 || pst.Nodes != stats.Nodes || pst.Workers != 4 {
 		t.Fatalf("accumulated stats wrong: %+v", pst)
 	}
-	s.DisableBatchPlanner()
-	if _, ok := s.PlannerStats(); ok {
-		t.Fatal("PlannerStats still available after DisableBatchPlanner")
+	if plannerTestSystem(t).Stats().Planner != nil {
+		t.Fatal("PlannerStats available on a planner-less System")
 	}
 }
 
@@ -172,7 +184,7 @@ func TestPlanDistributionsErrorContainment(t *testing.T) {
 		if out[i].Err != nil {
 			t.Fatalf("valid entry %d poisoned by its neighbour: %v", i, out[i].Err)
 		}
-		res, err := s.Hybrid().CostDistribution(withBad[i].Path, withBad[i].Depart, withBad[i].Opt)
+		res, err := s.CurrentEpoch().Hybrid.CostDistribution(withBad[i].Path, withBad[i].Depart, withBad[i].Opt)
 		if err != nil {
 			t.Fatal(err)
 		}

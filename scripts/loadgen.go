@@ -144,9 +144,9 @@ func bootFleet(depart float64, method string) (string, [][]byte, func(), error) 
 			ts.Close()
 		}
 	}
-	cfg := shard.Config{ProbeInterval: -1, MaxQueue: 64}
+	cfg := shard.Config{ProbeInterval: -1, Limits: api.Limits{MaxQueue: 64}}
 	for _, ss := range split.Shards {
-		ts := httptest.NewServer(server.New(ss, server.Config{MaxInFlight: 4}).Handler())
+		ts := httptest.NewServer(server.New(ss, server.Config{Limits: api.Limits{MaxInFlight: 4}}).Handler())
 		servers = append(servers, ts)
 		cfg.Shards = append(cfg.Shards, ts.URL)
 	}

@@ -41,8 +41,8 @@ func TestSynopsisSaveLoadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := loaded.SynopsisStats()
-	if !ok {
+	st := loaded.Stats().Synopsis
+	if st == nil {
 		t.Fatal("loaded system has no synopsis attached")
 	}
 	if st.Entries != syn.Len() || st.Bytes != syn.Bytes() {
@@ -71,13 +71,13 @@ func TestSynopsisSaveLoadEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if st, _ := loaded.SynopsisStats(); st.Hits == 0 {
+	if st := loaded.Stats().Synopsis; st.Hits == 0 {
 		t.Fatalf("workload replay never hit the loaded synopsis: %+v", st)
 	}
 
 	// Detaching removes it from queries and stats alike.
 	loaded.AttachSynopsis(nil)
-	if _, ok := loaded.SynopsisStats(); ok {
+	if loaded.Stats().Synopsis != nil {
 		t.Fatal("stats still report a synopsis after detach")
 	}
 }
@@ -97,7 +97,7 @@ func TestSynopsisRoutingEquivalence(t *testing.T) {
 	var dst VertexID = -1
 	for v := sys.Graph.NumVertices() - 1; v > 0; v-- {
 		if VertexID(v) != src {
-			if _, _, err := sys.Router().FastestPath(src, VertexID(v)); err == nil {
+			if _, _, err := sys.CurrentEpoch().Router().FastestPath(src, VertexID(v)); err == nil {
 				dst = VertexID(v)
 				break
 			}
@@ -106,7 +106,7 @@ func TestSynopsisRoutingEquivalence(t *testing.T) {
 	if dst < 0 {
 		t.Skip("no reachable destination")
 	}
-	_, ff, err := sys.Router().FastestPath(src, dst)
+	_, ff, err := sys.CurrentEpoch().Router().FastestPath(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSynopsisRoutingEquivalence(t *testing.T) {
 		t.Fatalf("synopsis-backed route differs: %v p=%v vs %v p=%v",
 			got.Path, got.Prob, want.Path, want.Prob)
 	}
-	if st, _ := sys.SynopsisStats(); st.Hits == 0 {
+	if st := sys.Stats().Synopsis; st.Hits == 0 {
 		t.Fatalf("routing DFS never hit the synopsis: %+v", st)
 	}
 }
